@@ -56,7 +56,7 @@ def _infer_alphabet(texts, override: str | None) -> Alphabet:
     top = 0
     for t in bracketed:
         for part in t[1:-1].split(","):
-            if part.strip().isdigit():
+            if dickson.is_decimal(part.strip()):
                 top = max(top, int(part.strip()))
     return Alphabet.indexed(top + 1)
 
@@ -210,7 +210,7 @@ def _cmd_up_phi_slice(ns) -> int:
 
 
 def _cmd_embed(ns) -> int:
-    if not ns.range.isdigit():
+    if not dickson.is_decimal(ns.range):
         raise CliError(f"range must be a number, got {ns.range!r}")
     hi = int(ns.range)
     if ns.name == "dickson-to-word":

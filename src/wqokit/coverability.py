@@ -7,6 +7,19 @@ markings that can reach a covering of the target, walking predecessor
 steps from the target upward. The saturation always terminates: the
 iterates form an ascending chain of upward closed sets of vectors, and
 no such chain is strictly increasing forever.
+
+The saturation is frontier-driven, as in the classic backward algorithm
+for well-structured systems (Abdulla, Cerans, Jonsson and Tsay, 1996;
+Finkel and Schnoebelen, 2001). The pre-image distributes over union and
+is monotone, so a round need only take pre-images of the generators the
+previous round added: those of older generators are already in the set.
+Each candidate is inserted into the antichain once. It is dropped when
+some generator lies below it; otherwise it evicts the generators above
+it. The antichain is bucketed by coordinate sum, since b <= c implies
+sum(b) <= sum(c): only buckets of smaller or equal sum can hold an
+element below the candidate, and only buckets of greater sum one above.
+Every round yields the same upward closed set as renormalizing the
+whole basis would, so verdicts, round counts and bases are unchanged.
 """
 
 from __future__ import annotations
@@ -15,14 +28,19 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .dickson import DimensionMismatch, NatVec, format_vec
+from .dickson import DimensionMismatch, NatVec, format_vec, is_decimal
 from .dickson import leq as vec_leq
 from .dickson import monus, join, parse_vec
 from .upset import UpSet, dickson_upset
 
 
 class SaturationLimit(RuntimeError):
-    """Safety valve tripped; indicates a bug rather than a large input."""
+    """A resource limit on the saturation was reached.
+
+    Bases can legitimately grow doubly exponentially in the size of the
+    net (Rackoff 1978), so hitting a limit says the query is too large
+    for the limit, not that the computation went wrong.
+    """
 
 
 class NetParseError(ValueError):
@@ -92,16 +110,37 @@ class CoverResult(NamedTuple):
     iterations: int
 
 
-def pre_step(x: UpSet, t: Transition) -> UpSet:
-    """Minimal markings from which firing t lands in x.
+def _pre(g: NatVec, t: Transition) -> NatVec:
+    """Least marking from which firing t lands above g.
 
     Firing t from v requires v >= consume and yields v + produce - consume.
-    The least v whose successor dominates a generator g is
-    join(monus(g, produce - consume), consume): monus undoes the firing
-    effect without going negative, join restores enabledness.
+    monus undoes the firing effect without going negative, join restores
+    enabledness.
     """
     delta = tuple(p - c for c, p in zip(t.consume, t.produce))
-    return dickson_upset(join(monus(g, delta), t.consume) for g in x.gens)
+    return join(monus(g, delta), t.consume)
+
+
+def pre_step(x: UpSet, t: Transition) -> UpSet:
+    """Minimal markings from which firing t lands in x."""
+    return dickson_upset(_pre(g, t) for g in x.gens)
+
+
+def _insert(basis: dict[int, list[NatVec]], c: NatVec) -> bool:
+    """Add c to the antichain unless it is dominated; evict what it dominates.
+
+    basis maps a coordinate sum to the generators with that sum. Returns
+    whether c was added.
+    """
+    s = sum(c)
+    for k, bucket in basis.items():
+        if k <= s and any(vec_leq(b, c) for b in bucket):
+            return False
+    for k, bucket in basis.items():
+        if k > s:
+            bucket[:] = [b for b in bucket if not vec_leq(c, b)]
+    basis.setdefault(s, []).append(c)
+    return True
 
 
 def backward_cover(
@@ -112,31 +151,53 @@ def backward_cover(
     """Decide whether the initial marking can cover the target.
 
     Saturates X0 = up(target), X_{k+1} = X_k joined with pre_step(X_k, t)
-    for every transition, until the canonical representation stops
-    changing. Returns as soon as the initial marking becomes a member;
-    iterations counts the rounds that added something.
+    for every transition, until the set stops growing; iterations counts
+    the rounds that added something. Returns as soon as the initial
+    marking becomes a member. The basis is then only the part of the
+    coverable region built up to that round, not the full fixpoint; an
+    uncoverable answer carries the full basis.
+
+    Raises SaturationLimit when max_iterations rounds have added
+    something and the saturation has neither covered the initial marking
+    nor reached the fixpoint, or when a round ends with more than
+    max_basis generators.
     """
-    current = dickson_upset([q.target])
+    basis = {sum(q.target): [q.target]}
+    frontier = [q.target]
     iterations = 0
     while True:
-        if current.member(q.initial):
-            return CoverResult(True, current, iterations)
+        # older generators were already found not to lie below initial
+        if any(vec_leq(g, q.initial) for g in frontier):
+            return CoverResult(True, _upset(basis), iterations)
         if max_iterations is not None and iterations >= max_iterations:
             raise SaturationLimit(
-                f"no fixpoint within {max_iterations} iterations"
+                f"no fixpoint within {max_iterations} rounds; "
+                f"the basis has {_size(basis)} generators"
             )
-        nxt = current
-        for t in q.net.transitions:
-            nxt = nxt.union(pre_step(current, t))
-        if len(nxt.gens) > max_basis:
+        added = []
+        for g in frontier:
+            for t in q.net.transitions:
+                c = _pre(g, t)
+                if _insert(basis, c):
+                    added.append(c)
+        size = _size(basis)
+        if size > max_basis:
             raise SaturationLimit(
-                f"basis exceeded {max_basis} generators; "
-                f"this should be unreachable and signals a bug"
+                f"basis reached {size} generators in round {iterations + 1}, "
+                f"over the limit of {max_basis}"
             )
-        if nxt == current:
-            return CoverResult(False, current, iterations)
-        current = nxt
+        if not added:
+            return CoverResult(False, _upset(basis), iterations)
+        frontier = [c for c in added if c in basis[sum(c)]]
         iterations += 1
+
+
+def _size(basis: dict[int, list[NatVec]]) -> int:
+    return sum(map(len, basis.values()))
+
+
+def _upset(basis: dict[int, list[NatVec]]) -> UpSet:
+    return dickson_upset(g for bucket in basis.values() for g in bucket)
 
 
 def forward_cover_oracle(q: CoverQuery, bound: NatVec) -> bool:
@@ -213,7 +274,7 @@ def parse_net(text: str) -> CoverQuery:
         if head == "places":
             if places is not None:
                 raise NetParseError("duplicate places line", lineno, head_col)
-            if len(toks) != 2 or not toks[1][0].isdigit():
+            if len(toks) != 2 or not is_decimal(toks[1][0]):
                 raise NetParseError(
                     "expected: places <count>", lineno, head_col
                 )

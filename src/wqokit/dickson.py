@@ -22,6 +22,14 @@ def _require_same_dim(a, b) -> None:
         )
 
 
+def is_decimal(s: str) -> bool:
+    """True iff s is a non-empty run of the ASCII digits 0-9.
+
+    str.isdigit alone also accepts other scripts' digits and superscripts.
+    """
+    return s.isascii() and s.isdigit()
+
+
 def leq(a: NatVec, b: NatVec) -> bool:
     """True iff every component of a is <= the matching component of b."""
     _require_same_dim(a, b)
@@ -52,7 +60,7 @@ def parse_vec(text: str) -> NatVec:
     components = []
     for part in parts:
         item = part.strip()
-        if not item.isdigit():
+        if not is_decimal(item):
             raise ValueError(f"bad vector component {item!r} in {text!r}")
         components.append(int(item))
     return tuple(components)

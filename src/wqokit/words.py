@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dickson import is_decimal
+
 
 class AlphabetMismatch(ValueError):
     """Raised when words over different alphabets are combined."""
@@ -171,7 +173,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         letters = []
         for part in stripped[1:-1].split(","):
             item = part.strip()
-            if not item.isdigit():
+            if not is_decimal(item):
                 raise ValueError(f"bad letter index {item!r} in {text!r}")
             letters.append(int(item))
         return Word(alphabet, tuple(letters))

@@ -1,10 +1,14 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqokit import (
     CoverQuery,
     DimensionMismatch,
+    NatVec,
     NetParseError,
     SaturationLimit,
     Transition,
@@ -121,8 +125,105 @@ def test_backward_cover_iteration_cap():
     # one token per round, so a small cap trips before the fixpoint
     q = CoverQuery(Vas(1, (Transition("t", (0,), (1,)),)), (0,), (5,))
     assert backward_cover(q).coverable
-    with pytest.raises(SaturationLimit):
+    with pytest.raises(SaturationLimit, match="no fixpoint within 2 rounds"):
         backward_cover(q, max_iterations=2)
+
+
+def chain(n: int, initial: NatVec, last: int) -> CoverQuery:
+    """Place i turns one token into two tokens of place i+1."""
+    ts = tuple(
+        Transition(
+            f"t{i}",
+            tuple(int(j == i) for j in range(n)),
+            tuple(2 * (j == i + 1) for j in range(n)),
+        )
+        for i in range(n - 1)
+    )
+    return CoverQuery(Vas(n, ts), initial, (0,) * (n - 1) + (last,))
+
+
+def test_backward_cover_basis_limit_is_a_resource_limit():
+    q = chain(4, (1, 0, 0, 0), 9)
+    assert len(backward_cover(q).basis.gens) > 5
+    with pytest.raises(
+        SaturationLimit,
+        match=r"basis reached \d+ generators in round \d+, over the limit of 5$",
+    ):
+        backward_cover(q, max_basis=5)
+
+
+def test_backward_cover_chain6_basis_is_all_minimal_solutions():
+    # one token on place i becomes 2^(5-i) tokens on the last place, so the
+    # coverable region is {m : sum m_i 2^(5-i) >= 33}; brute-force its
+    # minimal elements: the last place is forced once the others are set,
+    # and m is minimal iff removing any one token leaves the region
+    w = [2 ** (5 - i) for i in range(6)]
+    prefixes = product(*(range(-(-33 // wi) + 1) for wi in w[:-1]))
+    sols = [
+        m + (max(0, 33 - sum(a * b for a, b in zip(m, w))),) for m in prefixes
+    ]
+    minimal = [
+        m
+        for m in sols
+        if all(
+            sum(a * b for a, b in zip(m, w)) - w[i] < 33
+            for i in range(6)
+            if m[i]
+        )
+    ]
+    result = backward_cover(chain(6, (1, 0, 0, 0, 0, 0), 33))
+    assert not result.coverable
+    assert result.basis.gens == tuple(sorted(minimal))
+    assert len(minimal) == 255
+
+
+def round_by_round(q: CoverQuery, max_iterations: int | None = None):
+    """Reference saturation: renormalize the whole basis every round."""
+    current = dickson_upset([q.target])
+    iterations = 0
+    while True:
+        if current.member(q.initial):
+            return True, iterations, current.gens
+        if max_iterations is not None and iterations >= max_iterations:
+            raise SaturationLimit("reference cap")
+        nxt = current
+        for t in q.net.transitions:
+            nxt = nxt.union(pre_step(current, t))
+        if nxt == current:
+            return False, iterations, current.gens
+        current = nxt
+        iterations += 1
+
+
+@st.composite
+def small_queries(draw):
+    m = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, 2)] * m)
+    pairs = draw(st.lists(st.tuples(vec, vec), min_size=1, max_size=3))
+    ts = tuple(Transition(f"t{i}", c, p) for i, (c, p) in enumerate(pairs))
+    return CoverQuery(Vas(m, ts), draw(vec), draw(vec))
+
+
+def _outcome(run):
+    try:
+        return run()
+    except SaturationLimit:
+        return "limit"
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_queries())
+def test_backward_cover_matches_round_by_round_saturation(q):
+    r = backward_cover(q)
+    assert (r.coverable, r.iterations, r.basis.gens) == round_by_round(q)
+    for cap in range(r.iterations + 2):
+        mine = _outcome(lambda: backward_cover(q, max_iterations=cap))
+        if mine != "limit":
+            mine = (mine.coverable, mine.iterations, mine.basis.gens)
+        assert mine == _outcome(lambda: round_by_round(q, cap))
+    if r.iterations:
+        with pytest.raises(SaturationLimit):
+            backward_cover(q, max_iterations=r.iterations - 1)
 
 
 def test_forward_oracle_examples():
