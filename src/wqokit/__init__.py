@@ -9,6 +9,8 @@ with upset transport, and a terminating backward coverability check for
 vector addition systems.
 """
 
+from types import ModuleType as _ModuleType
+
 from .dickson import (
     DimensionMismatch,
     NatVec,
@@ -77,59 +79,9 @@ from .coverability import (
 
 __version__ = "0.1.0"
 
+# the public names are exactly the ones imported above
 __all__ = [
-    "DimensionMismatch",
-    "NatVec",
-    "format_vec",
-    "join",
-    "leq",
-    "monus",
-    "parse_vec",
-    "Homogeneous",
-    "PairClass",
-    "SubseqClass",
-    "classify",
-    "find_good_pair",
-    "homogeneous_subsequence",
-    "is_bad",
-    "Alphabet",
-    "AlphabetMismatch",
-    "LabeledWord",
-    "Word",
-    "labeled_leq",
-    "leq_E",
-    "leq_e",
-    "parse_word",
-    "phi",
-    "support",
-    "INF",
-    "ExtendedNat",
-    "UpSet",
-    "dickson_upset",
-    "format_upset_block",
-    "intersect_dickson",
-    "labeled_upset",
-    "parse_upset_block",
-    "phi_slice",
-    "quotient",
-    "som",
-    "word_upset",
-    "QuasiEmbedding",
-    "check_quasi_embedding",
-    "dickson_to_word",
-    "dickson_word_embedding",
-    "labeling_embedding",
-    "transport_upset",
-    "word_to_labeled",
-    "CoverQuery",
-    "CoverResult",
-    "NetParseError",
-    "SaturationLimit",
-    "Transition",
-    "Vas",
-    "backward_cover",
-    "forward_cover_oracle",
-    "parse_net",
-    "pre_step",
-    "__version__",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + ["__version__"]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -61,38 +62,46 @@ def _infer_alphabet(texts, override: str | None) -> Alphabet:
     return Alphabet.indexed(top + 1)
 
 
-def _carrier(element_texts, alphabet_opt, letter_names=()):
-    """Decide vec vs word mode from the pooled element texts.
+def _carrier(texts, alphabet_opt, letters=()) -> Alphabet | None:
+    """Decide vectors vs words from the pooled element texts.
 
-    Returns ("vec", None) or ("word", alphabet). Vectors and words
-    cannot share a command.
+    Returns None for vectors, else the words' alphabet. Vectors and words
+    cannot share a command. Letter arguments join the alphabet inference
+    unless the texts are index-form words, whose letters are named
+    "1".."m": pooling such a name would read as a letter-form word.
     """
-    texts = [t.strip() for t in element_texts]
+    texts = [t.strip() for t in texts]
     if any(t.startswith("(") for t in texts):
         if not all(t.startswith("(") for t in texts):
             raise CliError("cannot mix vectors and words in one command")
-        if letter_names:
+        if letters:
             raise CliError("letter arguments apply to word upsets only")
-        return "vec", None
-    return "word", _infer_alphabet(list(texts) + list(letter_names), alphabet_opt)
+        return None
+    if any(t.startswith("[") for t in texts):
+        letters = ()
+    return _infer_alphabet(texts + list(letters), alphabet_opt)
 
 
-def _parse_elem(kind: str, alpha: Alphabet | None, text: str):
-    if kind == "vec":
+def _parse_elem(alpha: Alphabet | None, text: str):
+    if alpha is None:
         return dickson.parse_vec(text)
     return words.parse_word(text, alpha)
 
 
-def _mk_upset(kind: str, alpha: Alphabet | None, texts) -> upset.UpSet:
-    gens = [_parse_elem(kind, alpha, t) for t in texts]
-    if kind == "vec":
-        return upset.dickson_upset(gens)
-    return upset.word_upset(gens)
+def _upsets(ns, *paths, extra=(), letters=(), only=None):
+    """Read the blocks at paths; return (alphabet or None, one upset each).
 
-
-def _load_block(path: str) -> list[str]:
-    name_and_toks = upset.parse_upset_block(Path(path).read_text())
-    return name_and_toks[1]
+    The carrier is picked from the pooled texts (the generators plus the
+    extra element or point) and checked against `only` before parsing;
+    with no text at all, either carrier fits.
+    """
+    blocks = [upset.parse_upset_block(Path(p).read_text())[1] for p in paths]
+    texts = [t for toks in blocks for t in toks] + list(extra)
+    alpha = _carrier(texts, getattr(ns, "alphabet", None), letters)
+    if only and texts and only != ("vector" if alpha is None else "word"):
+        raise CliError(f"{ns.op} is available for {only} upsets only")
+    make = upset.dickson_upset if alpha is None else upset.word_upset
+    return alpha, [make([_parse_elem(alpha, t) for t in toks]) for toks in blocks]
 
 
 # ---------------------------------------------------------------- verbs
@@ -116,9 +125,9 @@ def _cmd_seq(ns) -> int:
     texts = [t for t in texts if t]
     if not texts:
         raise CliError(f"no elements in {ns.file}")
-    kind, alpha = _carrier(texts, ns.alphabet)
-    seq = [_parse_elem(kind, alpha, t) for t in texts]
-    leq = dickson.leq if kind == "vec" else words.leq_e
+    alpha = _carrier(texts, ns.alphabet)
+    seq = [_parse_elem(alpha, t) for t in texts]
+    leq = dickson.leq if alpha is None else words.leq_e
     pair = orders.find_good_pair(seq, leq)
     if pair is None:
         print("bad")
@@ -129,114 +138,97 @@ def _cmd_seq(ns) -> int:
     return 0
 
 
-def _cmd_up_normalize(ns) -> int:
-    toks = _load_block(ns.file)
-    kind, alpha = _carrier(toks, ns.alphabet)
-    print(upset.format_upset_block(_mk_upset(kind, alpha, toks)))
+def _cmd_normalize(ns) -> int:
+    print(upset.format_upset_block(_upsets(ns, ns.file)[1][0]))
     return 0
 
 
-def _cmd_up_member(ns) -> int:
-    toks = _load_block(ns.file)
-    kind, alpha = _carrier([ns.element, *toks], ns.alphabet)
-    x = _mk_upset(kind, alpha, toks)
-    return _bool_line(x.member(_parse_elem(kind, alpha, ns.element)))
+def _cmd_member(ns) -> int:
+    alpha, (x,) = _upsets(ns, ns.file, extra=[ns.element])
+    return _bool_line(x.member(_parse_elem(alpha, ns.element)))
 
 
-def _cmd_up_includes(ns) -> int:
-    toks_x = _load_block(ns.big)
-    toks_y = _load_block(ns.small)
-    kind, alpha = _carrier(toks_x + toks_y, ns.alphabet)
-    x = _mk_upset(kind, alpha, toks_x)
-    y = _mk_upset(kind, alpha, toks_y)
+def _cmd_includes(ns) -> int:
+    x, y = _upsets(ns, ns.big, ns.small)[1]
     return _bool_line(x.includes(y))
 
 
-def _cmd_up_union(ns) -> int:
-    toks_x = _load_block(ns.left)
-    toks_y = _load_block(ns.right)
-    kind, alpha = _carrier(toks_x + toks_y, ns.alphabet)
-    x = _mk_upset(kind, alpha, toks_x)
-    y = _mk_upset(kind, alpha, toks_y)
+def _cmd_union(ns) -> int:
+    x, y = _upsets(ns, ns.left, ns.right)[1]
     print(upset.format_upset_block(x.union(y)))
     return 0
 
 
-def _cmd_up_intersect(ns) -> int:
-    toks_x = _load_block(ns.left)
-    toks_y = _load_block(ns.right)
-    if not toks_x and not toks_y:
-        print(upset.format_upset_block(upset.dickson_upset()))
-        return 0
-    kind, _ = _carrier(toks_x + toks_y, None)
-    if kind != "vec":
-        raise CliError("intersect is available for vector upsets only")
-    x = _mk_upset(kind, None, toks_x)
-    y = _mk_upset(kind, None, toks_y)
+def _cmd_intersect(ns) -> int:
+    x, y = _upsets(ns, ns.left, ns.right, only="vector")[1]
     print(upset.format_upset_block(upset.intersect_dickson(x, y)))
     return 0
 
 
-def _cmd_up_quotient(ns) -> int:
-    toks = _load_block(ns.file)
-    # index-form upsets name their letters "1".."m"; pooling such a name
-    # into alphabet inference would read as a letter-form word, so skip it
-    pool = not any(t.strip().startswith("[") for t in toks)
-    kind, alpha = _carrier(toks, ns.alphabet, letter_names=[ns.letter] if pool else [])
-    x = _mk_upset(kind, alpha, toks)
+def _cmd_quotient(ns) -> int:
+    alpha, (x,) = _upsets(ns, ns.file, letters=[ns.letter])
     print(upset.format_upset_block(upset.quotient(alpha.index(ns.letter), x)))
     return 0
 
 
-def _cmd_up_som(ns) -> int:
-    toks = _load_block(ns.file)
-    kind, alpha = _carrier(toks, ns.alphabet)
-    if kind != "word":
-        raise CliError("som is available for word upsets only")
-    letters = sorted(upset.som(_mk_upset(kind, alpha, toks)))
-    print("{" + ",".join(alpha.names[l] for l in letters) + "}")
+def _cmd_som(ns) -> int:
+    alpha, (x,) = _upsets(ns, ns.file, only="word")
+    print("{" + ",".join(alpha.names[l] for l in sorted(upset.som(x))) + "}")
     return 0
 
 
-def _cmd_up_phi_slice(ns) -> int:
-    toks = _load_block(ns.file)
-    kind, _ = _carrier([*toks, ns.point], None)
-    if kind != "vec":
-        raise CliError("phi-slice is available for vector upsets only")
-    f = _mk_upset(kind, None, toks)
+def _cmd_phi_slice(ns) -> int:
+    (f,) = _upsets(ns, ns.file, extra=[ns.point], only="vector")[1]
     value = upset.phi_slice(f, dickson.parse_vec(ns.point))
     print("inf" if value == upset.INF else str(int(value)))
     return 0
+
+
+_MAX_PAIRS = 10**6
+
+
+def _check_range_size(base: int, lengths) -> None:
+    """Refuse a range with more than _MAX_PAIRS pairs before building it.
+
+    The sum stops past the cap, and exponents are clipped at the cap's bit
+    length, where any base above 1 passes it: a huge range costs little.
+    """
+    points = 0
+    for n in lengths:
+        points += base ** min(n, _MAX_PAIRS.bit_length())
+        if points * points > _MAX_PAIRS:
+            raise CliError(
+                f"the range has at least {points * points} pairs, "
+                f"over the limit of {_MAX_PAIRS}"
+            )
 
 
 def _cmd_embed(ns) -> int:
     if not dickson.is_decimal(ns.range):
         raise CliError(f"range must be a number, got {ns.range!r}")
     hi = int(ns.range)
+    # the range is every tuple over range(base) with a length in lengths
     if ns.name == "dickson-to-word":
-        points = list(product(range(hi + 1), repeat=ns.dim))
-        f = transport.dickson_word_embedding(ns.dim)
-        total = len(points) ** 2
-        pairs = product(points, points)
+        if ns.dim > _MAX_PAIRS:
+            raise CliError(f"--dim {ns.dim} is over the limit of {_MAX_PAIRS}")
+        base, lengths, point = hi + 1, [ns.dim], tuple
+        embedding = partial(transport.dickson_word_embedding, ns.dim)
     elif ns.name == "word-to-labeled":
         alpha = Alphabet.from_letters(ns.alphabet or "ab")
-        ws = [
-            Word(alpha, ls)
-            for n in range(hi + 1)
-            for ls in product(range(alpha.size), repeat=n)
-        ]
-        f = transport.labeling_embedding()
-        total = len(ws) ** 2
-        pairs = product(ws, ws)
+        base, lengths, point = alpha.size, range(hi + 1), partial(Word, alpha)
+        embedding = transport.labeling_embedding
     else:
         raise CliError(
             f"unknown embedding {ns.name!r}; "
             f"known: dickson-to-word, word-to-labeled"
         )
-    ok, witness = transport.check_quasi_embedding(f, pairs)
+    _check_range_size(base, lengths)
+    points = [point(t) for n in lengths for t in product(range(base), repeat=n)]
+    f = embedding()
+    ok, witness = transport.check_quasi_embedding(f, product(points, points))
     if ok:
         print("true")
-        print(f"  {f.name}: order reflected on {total} pairs")
+        print(f"  {f.name}: order reflected on {len(points) ** 2} pairs")
         return 0
     a1, a2 = witness
     print("false")
@@ -246,13 +238,16 @@ def _cmd_embed(ns) -> int:
 
 def _cmd_cover(ns) -> int:
     query = coverability.parse_net(Path(ns.netfile).read_text())
+    # a bad bound must fail before any of the answer is printed
+    oracle = None
+    if ns.oracle_bound is not None:
+        bound = dickson.parse_vec(ns.oracle_bound)
+        oracle = coverability.forward_cover_oracle(query, bound)
     result = coverability.backward_cover(query, max_iterations=ns.max_iterations)
     print(f"coverable: {'true' if result.coverable else 'false'}")
     print(f"iterations: {result.iterations}")
     print(upset.format_upset_block(result.basis, "basis"))
-    if ns.oracle_bound is not None:
-        bound = dickson.parse_vec(ns.oracle_bound)
-        oracle = coverability.forward_cover_oracle(query, bound)
+    if oracle is not None:
         if oracle and not result.coverable:
             print("oracle: true")
             print(
@@ -270,89 +265,52 @@ def _cmd_cover(ns) -> int:
 
 # ---------------------------------------------------------------- parser
 
+# (command, help, handler, arguments); an argument is a name or a pair of
+# a name and its add_argument options. A row without a handler is a group
+# of verbs, declared in the "group verb" rows after it.
+_COMMANDS = [
+    ("order", "compare two elements", _cmd_order, (
+        ("relation", {"choices": ["leq-e", "leq-E", "dickson"]}),
+        "left", "right", "--alphabet")),
+    ("seq", "analyze a sequence file", None, ()),
+    ("seq good-pair", "first i<j with seq[i] <= seq[j]", _cmd_seq, ("file", "--alphabet")),
+    ("upset", "upward closed set algebra", None, ()),
+    ("upset normalize", "canonical form of a block", _cmd_normalize, ("file", "--alphabet")),
+    ("upset member", "element membership", _cmd_member, ("element", "file", "--alphabet")),
+    ("upset includes", "is the second set within the first", _cmd_includes,
+     ("big", "small", "--alphabet")),
+    ("upset union", "union of two upsets", _cmd_union, ("left", "right", "--alphabet")),
+    ("upset intersect", "intersection of vector upsets", _cmd_intersect, ("left", "right")),
+    ("upset quotient", "left quotient of a word upset", _cmd_quotient,
+     ("letter", "file", "--alphabet")),
+    ("upset som", "starting letters of minimal elements", _cmd_som, ("file", "--alphabet")),
+    ("upset phi-slice", "least last coordinate over a prefix", _cmd_phi_slice, ("file", "point")),
+    ("embed", "verify a quasi-embedding on a range", _cmd_embed, (
+        ("action", {"choices": ["check"]}), "name",
+        ("range", {"help": "per-coordinate max (vectors) or max length (words)"}),
+        "--alphabet", ("--dim", {"type": int, "default": 2}))),
+    ("cover", "backward coverability on a net file", _cmd_cover, (
+        "netfile", ("--max-iterations", {"type": int}),
+        ("--oracle-bound", {"help": "vector bound enabling the forward cross-check"}))),
+]
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wqokit",
         description="Embedding orders, upward closed sets, and coverability.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("order", help="compare two elements")
-    p.add_argument("relation", choices=["leq-e", "leq-E", "dickson"])
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--alphabet")
-    p.set_defaults(handler=_cmd_order)
-
-    p = sub.add_parser("seq", help="analyze a sequence file")
-    seqsub = p.add_subparsers(dest="op", required=True)
-    q = seqsub.add_parser("good-pair", help="first i<j with seq[i] <= seq[j]")
-    q.add_argument("file")
-    q.add_argument("--alphabet")
-    q.set_defaults(handler=_cmd_seq)
-
-    p = sub.add_parser("upset", help="upward closed set algebra")
-    upsub = p.add_subparsers(dest="op", required=True)
-
-    q = upsub.add_parser("normalize", help="canonical form of a block")
-    q.add_argument("file")
-    q.add_argument("--alphabet")
-    q.set_defaults(handler=_cmd_up_normalize)
-
-    q = upsub.add_parser("member", help="element membership")
-    q.add_argument("element")
-    q.add_argument("file")
-    q.add_argument("--alphabet")
-    q.set_defaults(handler=_cmd_up_member)
-
-    q = upsub.add_parser("includes", help="is the second set within the first")
-    q.add_argument("big")
-    q.add_argument("small")
-    q.add_argument("--alphabet")
-    q.set_defaults(handler=_cmd_up_includes)
-
-    q = upsub.add_parser("union", help="union of two upsets")
-    q.add_argument("left")
-    q.add_argument("right")
-    q.add_argument("--alphabet")
-    q.set_defaults(handler=_cmd_up_union)
-
-    q = upsub.add_parser("intersect", help="intersection of vector upsets")
-    q.add_argument("left")
-    q.add_argument("right")
-    q.set_defaults(handler=_cmd_up_intersect)
-
-    q = upsub.add_parser("quotient", help="left quotient of a word upset")
-    q.add_argument("letter")
-    q.add_argument("file")
-    q.add_argument("--alphabet")
-    q.set_defaults(handler=_cmd_up_quotient)
-
-    q = upsub.add_parser("som", help="starting letters of minimal elements")
-    q.add_argument("file")
-    q.add_argument("--alphabet")
-    q.set_defaults(handler=_cmd_up_som)
-
-    q = upsub.add_parser("phi-slice", help="least last coordinate over a prefix")
-    q.add_argument("file")
-    q.add_argument("point")
-    q.set_defaults(handler=_cmd_up_phi_slice)
-
-    p = sub.add_parser("embed", help="verify a quasi-embedding on a range")
-    p.add_argument("action", choices=["check"])
-    p.add_argument("name")
-    p.add_argument("range", help="per-coordinate max (vectors) or max length (words)")
-    p.add_argument("--alphabet")
-    p.add_argument("--dim", type=int, default=2)
-    p.set_defaults(handler=_cmd_embed)
-
-    p = sub.add_parser("cover", help="backward coverability on a net file")
-    p.add_argument("netfile")
-    p.add_argument("--max-iterations", type=int, default=None)
-    p.add_argument("--oracle-bound", help="vector bound enabling the forward cross-check")
-    p.set_defaults(handler=_cmd_cover)
-
+    groups = {"": parser.add_subparsers(dest="verb", required=True)}
+    for command, help_text, handler, arguments in _COMMANDS:
+        group, _, verb = command.rpartition(" ")
+        p = groups[group].add_parser(verb, help=help_text)
+        if handler is None:
+            groups[verb] = p.add_subparsers(dest="op", required=True)
+            continue
+        for arg in arguments:
+            name, options = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(name, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 

@@ -39,12 +39,13 @@ def _show(g) -> str:
 
 
 def _minimal(leq: Callable[[Any, Any], bool], elems: Iterable) -> list:
-    distinct = list(dict.fromkeys(elems))
-    return [
-        x
-        for x in distinct
-        if not any(y is not x and leq(y, x) for y in distinct)
-    ]
+    # one pass in _key order: whatever lies strictly below x sorts before
+    # it, and whatever lies below a dropped element lies below a kept one
+    kept: list = []
+    for x in sorted(dict.fromkeys(elems), key=_key):
+        if not any(leq(y, x) for y in kept):
+            kept.append(x)
+    return kept
 
 
 class UpSet:
@@ -54,13 +55,17 @@ class UpSet:
     dropped and the rest sorted, so construction from any generating set
     yields the canonical representation. Values are immutable by
     convention and hashable.
+
+    Normalization needs `leq` to be a partial order under which an
+    element strictly below another sorts first by length, then
+    lexicographically; `vec_leq`, `leq_e`, `leq_E` and `labeled_leq` are.
     """
 
     __slots__ = ("leq", "gens")
 
     def __init__(self, leq: Callable[[Any, Any], bool], gens: Iterable = ()):
         self.leq = leq
-        self.gens = tuple(sorted(_minimal(leq, gens), key=_key))
+        self.gens = tuple(_minimal(leq, gens))
 
     def member(self, x) -> bool:
         """True iff x lies above some generator."""

@@ -1,0 +1,226 @@
+"""Exact CLI outputs of every upset verb and every input error branch.
+
+Each case gives an argument list, where `{name}` stands for the path of
+the block BLOCKS[name], and the exact exit status, stdout and stderr.
+Two kinds of failure are pinned loosely: a dimension mismatch only
+has to name both operands (their order is not part of the contract),
+and an argparse usage error only has to exit 2, since argparse words its
+messages differently across Python versions.
+"""
+
+import pytest
+
+from wqokit.cli import run
+
+BLOCKS = {
+    "vec": "upset F { (2,2) (1,2) (2,1) }",
+    "vec_b": "upset {\n  (1,0) (0,3)\n  (1,0)\n}",
+    "vec3": "upset { (1,1,1) }",
+    "let": "upset X { ab ba aba }",
+    "let_c": "upset { bb ba aab bab c }",
+    "idx": "upset { [0,1] [1,0] [2] }",
+    "idx_b": "upset { [1] [0,0] }",
+    "empty": "upset { }",
+    "nil": "upset { [] }",
+    "mixed": "upset { (1,2) ab }",
+    "forms": "upset { ab [0,1] }",
+    "dims": "upset { (1,2) (1,2,3) }",
+    "bad": "not a block",
+    "bad_vec": "upset { (1,x) }",
+    "bad_idx": "upset { [0,q] }",
+    "seq_empty": "# nothing here\n\n",
+    "seq_mixed": "(1,0)\nab\n",
+}
+
+
+def up(*gens):
+    return "upset {\n" + "".join(f"  {g}\n" for g in gens) + "}\n"
+
+
+OK = [
+    # normalize: vectors, letter form, index form, empty blocks
+    (["upset", "normalize", "{vec}"], 0, up("(1,2)", "(2,1)")),
+    (["upset", "normalize", "{vec_b}"], 0, up("(0,3)", "(1,0)")),
+    (["upset", "normalize", "{let}"], 0, up("ab", "ba")),
+    (["upset", "normalize", "{let_c}"], 0, up("c", "ba", "bb", "aab")),
+    (["upset", "normalize", "{let}", "--alphabet", "bax"], 0, up("ba", "ab")),
+    (["upset", "normalize", "{idx}"], 0, up("3", "12", "21")),
+    (["upset", "normalize", "{idx}", "--alphabet", "xyz"], 0, up("z", "xy", "yx")),
+    (["upset", "normalize", "{empty}"], 0, up()),
+    (["upset", "normalize", "{nil}"], 0, up("[]")),
+    # member
+    (["upset", "member", "(3,2)", "{vec}"], 0, "true\n"),
+    (["upset", "member", "(0,9)", "{vec}"], 1, "false\n"),
+    (["upset", "member", "cacb", "{let}"], 0, "true\n"),
+    (["upset", "member", "aa", "{let}"], 1, "false\n"),
+    (["upset", "member", "[2,0,1]", "{idx}"], 0, "true\n"),
+    (["upset", "member", "[0,0]", "{idx}"], 1, "false\n"),
+    (["upset", "member", "ab", "{empty}"], 1, "false\n"),
+    (["upset", "member", "(1,1)", "{empty}"], 1, "false\n"),
+    (["upset", "member", "[]", "{nil}"], 0, "true\n"),
+    # includes
+    (["upset", "includes", "{vec_b}", "{vec}"], 0, "true\n"),
+    (["upset", "includes", "{vec}", "{vec_b}"], 1, "false\n"),
+    (["upset", "includes", "{let}", "{let_c}"], 1, "false\n"),
+    (["upset", "includes", "{nil}", "{let_c}"], 0, "true\n"),
+    (["upset", "includes", "{idx_b}", "{idx_b}"], 0, "true\n"),
+    (["upset", "includes", "{idx}", "{idx_b}"], 1, "false\n"),
+    (["upset", "includes", "{vec}", "{empty}"], 0, "true\n"),
+    # union
+    (["upset", "union", "{vec}", "{vec_b}"], 0, up("(0,3)", "(1,0)")),
+    (["upset", "union", "{let}", "{let_c}"], 0, up("c", "ab", "ba", "bb")),
+    (["upset", "union", "{idx}", "{idx_b}"], 0, up("2", "3", "11")),
+    (["upset", "union", "{empty}", "{empty}"], 0, up()),
+    (["upset", "union", "{empty}", "{let}"], 0, up("ab", "ba")),
+    # intersect
+    (["upset", "intersect", "{vec}", "{vec_b}"], 0, up("(1,2)", "(2,1)")),
+    (["upset", "intersect", "{vec}", "{empty}"], 0, up()),
+    (["upset", "intersect", "{empty}", "{empty}"], 0, up()),
+    # quotient
+    (["upset", "quotient", "a", "{let}"], 0, up("b")),
+    (["upset", "quotient", "c", "{let}"], 0, up("ab", "ba")),
+    (["upset", "quotient", "c", "{let_c}"], 0, up("[]")),
+    (["upset", "quotient", "1", "{idx}"], 0, up("2", "3")),
+    (["upset", "quotient", "2", "{idx_b}"], 0, up("[]")),
+    (["upset", "quotient", "a", "{empty}"], 0, up()),
+    (["upset", "quotient", "y", "{idx}", "--alphabet", "xyz"], 0, up("x", "z")),
+    # som
+    (["upset", "som", "{let}"], 0, "{a,b}\n"),
+    (["upset", "som", "{let_c}"], 0, "{a,b,c}\n"),
+    (["upset", "som", "{idx}"], 0, "{1,2,3}\n"),
+    (["upset", "som", "{idx}", "--alphabet", "xyz"], 0, "{x,y,z}\n"),
+    (["upset", "som", "{nil}"], 0, "{}\n"),
+    (["upset", "som", "{empty}"], 0, "{}\n"),
+    # phi-slice
+    (["upset", "phi-slice", "{vec}", "(1)"], 0, "2\n"),
+    (["upset", "phi-slice", "{vec}", "(0)"], 0, "inf\n"),
+    (["upset", "phi-slice", "{vec_b}", "(5)"], 0, "0\n"),
+    (["upset", "phi-slice", "{empty}", "(5)"], 0, "inf\n"),
+]
+
+
+ERR = [
+    # carriers
+    (["upset", "normalize", "{mixed}"], "cannot mix vectors and words in one command"),
+    (["upset", "member", "ab", "{vec}"], "cannot mix vectors and words in one command"),
+    (["upset", "union", "{vec}", "{let}"], "cannot mix vectors and words in one command"),
+    (["upset", "phi-slice", "{let}", "(1)"], "cannot mix vectors and words in one command"),
+    (["upset", "normalize", "{forms}"],
+     "cannot mix letter-form and index-form words without --alphabet"),
+    (["upset", "includes", "{let}", "{idx}"],
+     "cannot mix letter-form and index-form words without --alphabet"),
+    (["upset", "quotient", "a", "{vec}"], "letter arguments apply to word upsets only"),
+    (["upset", "intersect", "{let}", "{let}"], "intersect is available for vector upsets only"),
+    (["upset", "intersect", "{empty}", "{idx}"], "intersect is available for vector upsets only"),
+    (["upset", "som", "{vec}"], "som is available for word upsets only"),
+    (["upset", "som", "{bad_vec}"], "som is available for word upsets only"),
+    (["upset", "phi-slice", "{let}", "ab"], "phi-slice is available for vector upsets only"),
+    # the carrier is checked before any generator is parsed
+    (["upset", "intersect", "{idx}", "{bad_idx}"],
+     "intersect is available for vector upsets only"),
+    # parsing
+    (["upset", "normalize", "{bad}"], "expected a block of the form 'upset name {{ ... }}'"),
+    (["upset", "union", "{vec}", "{bad}"], "expected a block of the form 'upset name {{ ... }}'"),
+    (["upset", "normalize", "{bad_vec}"], "bad vector component 'x' in '(1,x)'"),
+    (["upset", "normalize", "{bad_idx}"], "bad letter index 'q' in '[0,q]'"),
+    (["upset", "member", "(1,x)", "{vec}"], "bad vector component 'x' in '(1,x)'"),
+    (["upset", "phi-slice", "{vec}", "(x)"], "bad vector component 'x' in '(x)'"),
+    (["upset", "phi-slice", "{vec}", "(1,1)"],
+     "slice point (1,1) needs generators of dimension 3, got (1,2)"),
+    (["upset", "normalize", "{idx}", "--alphabet", "ab"],
+     "letter index 2 out of range for alphabet ab"),
+    (["upset", "member", "ax", "{let}", "--alphabet", "ab"], "letter 'x' is not in alphabet ab"),
+    (["upset", "quotient", "z", "{let}", "--alphabet", "ab"], "letter 'z' is not in alphabet ab"),
+    (["upset", "quotient", "a", "{idx}"], "letter 'a' is not in alphabet 123"),
+    (["upset", "quotient", "4", "{idx}"], "letter '4' is not in alphabet 123"),
+    # other verbs
+    (["seq", "good-pair", "{seq_empty}"], "no elements in {seq_empty}"),
+    (["seq", "good-pair", "{seq_mixed}"], "cannot mix vectors and words in one command"),
+    (["embed", "check", "dickson-to-word", "x"], "range must be a number, got 'x'"),
+    (["embed", "check", "dickson-to-word", "-1"], "range must be a number, got '-1'"),
+    (["embed", "check", "nope", "2"],
+     "unknown embedding 'nope'; known: dickson-to-word, word-to-labeled"),
+    (["embed", "check", "dickson-to-word", "2", "--dim", "0"], "dimension must be at least 1"),
+    (["order", "leq-e", "ab", "[0,1]"],
+     "cannot mix letter-form and index-form words without --alphabet"),
+    (["order", "dickson", "ab", "(1)"], "expected a parenthesized vector, got 'ab'"),
+]
+
+
+DIMENSION = [
+    ["upset", "normalize", "{dims}"],
+    ["upset", "union", "{vec}", "{vec3}"],
+    ["upset", "includes", "{vec3}", "{vec}"],
+    ["upset", "intersect", "{vec}", "{vec3}"],
+    ["upset", "member", "(1,1,1)", "{vec}"],
+    ["order", "dickson", "(1,2)", "(1,1,1)"],
+]
+
+
+USAGE = [
+    [],
+    ["upset"],
+    ["upset", "bogus", "{vec}"],
+    ["upset", "member", "(1,1)"],
+    ["upset", "intersect", "{vec}", "{vec}", "--alphabet", "ab"],
+    ["upset", "phi-slice", "{vec}", "(1)", "--alphabet", "ab"],
+    ["seq", "good-pair"],
+    ["order", "leq-x", "a", "b"],
+    ["embed", "verify", "dickson-to-word", "2"],
+    ["embed", "check", "dickson-to-word", "2", "--dim", "x"],
+    ["cover"],
+    ["cover", "{vec}", "--max-iterations", "x"],
+]
+
+
+@pytest.fixture
+def files(tmp_path):
+    paths = {}
+    for name, text in BLOCKS.items():
+        p = tmp_path / f"{name}.up"
+        p.write_text(text)
+        paths[name] = str(p)
+    paths["missing"] = str(tmp_path / "missing.up")
+    return paths
+
+
+def call(capsys, files, argv):
+    code = run([a.format(**files) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv,code,out", OK)
+def test_verb_output(capsys, files, argv, code, out):
+    assert call(capsys, files, argv) == (code, out, "")
+
+
+@pytest.mark.parametrize("argv,message", ERR)
+def test_input_error(capsys, files, argv, message):
+    assert call(capsys, files, argv) == (2, "", f"error: {message.format(**files)}\n")
+
+
+def test_missing_file(capsys, files):
+    for argv in (
+        ["upset", "normalize", "{missing}"],
+        ["upset", "includes", "{missing}", "{vec}"],
+        ["upset", "includes", "{vec}", "{missing}"],
+        ["seq", "good-pair", "{missing}"],
+        ["cover", "{missing}"],
+    ):
+        want = f"error: [Errno 2] No such file or directory: '{files['missing']}'\n"
+        assert call(capsys, files, argv) == (2, "", want)
+
+
+@pytest.mark.parametrize("argv", DIMENSION)
+def test_dimension_mismatch_names_both_operands(capsys, files, argv):
+    code, out, err = call(capsys, files, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: dimension mismatch: ")
+    assert "(1,1,1) is 3-dimensional" in err or "(1,2,3) is 3-dimensional" in err
+    assert "is 2-dimensional" in err
+
+
+@pytest.mark.parametrize("argv", USAGE)
+def test_usage_error(capsys, files, argv):
+    assert call(capsys, files, argv)[0] == 2

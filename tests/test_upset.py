@@ -7,11 +7,15 @@ from wqokit import (
     INF,
     Alphabet,
     DimensionMismatch,
+    LabeledWord,
     UpSet,
     Word,
     dickson_upset,
     format_upset_block,
     intersect_dickson,
+    labeled_leq,
+    leq_E,
+    leq_e,
     parse_upset_block,
     parse_vec,
     parse_word,
@@ -57,6 +61,30 @@ def test_normalize_is_canonical_and_idempotent():
         assert dickson_upset(reversed(gens)) == x
         assert set(x.gens) == minimal_elements(gens, vec_le)
         assert list(x.gens) == sorted(x.gens, key=lambda g: (len(g), g))
+
+    abc = Alphabet.from_letters("abc")
+
+    def word_key(w):
+        return (len(w.letters), w.letters)
+
+    def rand_gen(leq):
+        w = Word(abc, rand_letters(rng, 3, 4))
+        if leq is labeled_leq:
+            return LabeledWord(w, {l for l in range(3) if rng.random() < 0.5})
+        return w
+
+    for leq in (leq_e, leq_E, labeled_leq):
+        for _ in range(300):
+            gens = [rand_gen(leq) for _ in range(rng.randint(0, 6))]
+            x = UpSet(leq, gens)
+            assert UpSet(leq, x.gens) == x
+            assert UpSet(leq, reversed(gens)) == x
+            assert set(x.gens) == minimal_elements(gens, leq)
+            if leq is labeled_leq:
+                key = lambda g: (*word_key(g.word), tuple(sorted(g.support)))
+            else:
+                key = word_key
+            assert list(x.gens) == sorted(x.gens, key=key)
 
 
 def test_member_examples():
