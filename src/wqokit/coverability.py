@@ -200,12 +200,16 @@ def _upset(basis: dict[int, list[NatVec]]) -> UpSet:
     return dickson_upset(g for bucket in basis.values() for g in bucket)
 
 
+_MAX_MARKINGS = 10**6
+
+
 def forward_cover_oracle(q: CoverQuery, bound: NatVec) -> bool:
     """BFS over markings dominated by bound; true iff one covers the target.
 
     Sound when it answers true (the witnessed path is real). A false
     answer is only conclusive relative to the bound: covering runs that
-    leave the box are never seen.
+    leave the box are never seen. Raises ValueError once more than
+    _MAX_MARKINGS markings have been visited.
     """
     if not vec_leq(q.initial, bound):
         raise ValueError(
@@ -228,6 +232,11 @@ def forward_cover_oracle(q: CoverQuery, bound: NatVec) -> bool:
                 if vec_leq(succ, bound) and succ not in seen:
                     seen.add(succ)
                     fresh.append(succ)
+                    if len(seen) > _MAX_MARKINGS:
+                        raise ValueError(
+                            f"the forward oracle visited {len(seen)} markings, "
+                            f"over the limit of {_MAX_MARKINGS}"
+                        )
         frontier = fresh
     return False
 

@@ -82,10 +82,16 @@ def check_quasi_embedding(
     """Test f(a1) <= f(a2) implies a1 <= a2 over an iterable of pairs.
 
     Returns (True, None) if every sampled pair satisfies the implication,
-    else (False, pair) for the first violation encountered.
+    else (False, pair) for the first violation encountered. Each distinct
+    element is mapped once; elements must be hashable.
     """
+    images: dict = {}
     for a1, a2 in sample:
-        if f.target_leq(f(a1), f(a2)) and not f.source_leq(a1, a2):
+        if a1 not in images:
+            images[a1] = f(a1)
+        if a2 not in images:
+            images[a2] = f(a2)
+        if f.target_leq(images[a1], images[a2]) and not f.source_leq(a1, a2):
             return False, (a1, a2)
     return True, None
 

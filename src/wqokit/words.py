@@ -10,6 +10,7 @@ marking each letter occurrence with a first-seen flag (``phi``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .dickson import is_decimal
 
@@ -52,13 +53,18 @@ class Alphabet:
             raise ValueError(f"letter {name!r} is not in alphabet {self}") from None
 
     def doubled(self) -> "Alphabet":
-        """Alphabet of flagged letters; letter i with flag f sits at 2*i + f."""
-        return Alphabet(tuple(f"{n}{f}" for n in self.names for f in (0, 1)))
+        """Flagged letters, letter i with flag f at 2*i + f; one object per alphabet."""
+        return _doubled(self)
 
     def __str__(self) -> str:
         if all(len(n) == 1 for n in self.names):
             return "".join(self.names)
         return ",".join(self.names)
+
+
+@lru_cache(maxsize=None)
+def _doubled(alphabet: Alphabet) -> Alphabet:
+    return Alphabet(tuple(f"{n}{f}" for n in alphabet.names for f in (0, 1)))
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,7 @@ class LabeledWord:
 
 
 def _require_same_alphabet(u: Word, v: Word) -> None:
-    if u.alphabet != v.alphabet:
+    if u.alphabet is not v.alphabet and u.alphabet != v.alphabet:
         raise AlphabetMismatch(
             f"alphabet mismatch: {u} is over {u.alphabet}, {v} is over {v.alphabet}"
         )
@@ -129,29 +135,36 @@ def support(u: Word) -> frozenset[int]:
     return frozenset(u.letters)
 
 
+def _flagged(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """Letter a becomes 2*a at its first occurrence and 2*a + 1 afterwards."""
+    seen: set[int] = set()
+    out = []
+    for a in letters:
+        out.append(2 * a + (a in seen))
+        seen.add(a)
+    return tuple(out)
+
+
 def phi(u: Word) -> LabeledWord:
     """Flag each occurrence: 0 for a letter's first appearance, 1 afterwards.
 
     The result word lives over the doubled alphabet (letter i with flag f is
     encoded as 2*i + f) and is paired with the support of u.
     """
-    seen: set[int] = set()
-    out = []
-    for a in u.letters:
-        out.append(2 * a + (1 if a in seen else 0))
-        seen.add(a)
-    return LabeledWord(Word(u.alphabet.doubled(), tuple(out)), frozenset(seen))
+    return LabeledWord(Word(u.alphabet.doubled(), _flagged(u.letters)), support(u))
 
 
 def leq_E(u: Word, v: Word) -> bool:
     """Support-sensitive embedding: equal supports and phi(u) embeds in phi(v).
 
-    The support check comes first since it is the cheap rejection.
+    Decided on the flagged letter tuples directly, by the greedy leftmost
+    matching of leq_e; the support check comes first as the cheap rejection.
     """
     _require_same_alphabet(u, v)
-    if support(u) != support(v):
+    if set(u.letters) != set(v.letters):
         return False
-    return leq_e(phi(u).word, phi(v).word)
+    remaining = iter(_flagged(v.letters))
+    return all(c in remaining for c in _flagged(u.letters))
 
 
 def labeled_leq(p: LabeledWord, q: LabeledWord) -> bool:

@@ -29,6 +29,11 @@ def embeds_recursive(u: tuple, v: tuple, memo: dict) -> bool:
     return ok
 
 
+def flag_occurrences(t: tuple) -> tuple:
+    """Letter a at position i becomes 2a, or 2a+1 if a occurs before i."""
+    return tuple(2 * a + (a in t[:i]) for i, a in enumerate(t))
+
+
 def vec_le(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 

@@ -1,9 +1,10 @@
 """Inputs the CLI refuses before doing any work: oversized `embed check`
-ranges and `cover --oracle-bound` values the oracle cannot use."""
+ranges and `cover --oracle-bound` values the oracle cannot use or whose
+box holds too many reachable markings."""
 
 import pytest
 
-from wqokit import cli
+from wqokit import cli, coverability
 from wqokit.cli import run
 
 NET = """\
@@ -26,6 +27,16 @@ def test_bad_oracle_bound_fails_before_printing(tmp_path, capsys, bound, message
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+def test_oracle_over_its_marking_cap_fails_before_printing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(coverability, "_MAX_MARKINGS", 2)
+    net = tmp_path / "demo.net"
+    net.write_text(NET)
+    assert run(["cover", str(net), "--oracle-bound", "(9,9)"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: the forward oracle visited 3 markings, over the limit of 2\n"
+    )
 
 
 @pytest.mark.parametrize("argv,message", [

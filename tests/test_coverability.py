@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wqokit import coverability
 from wqokit import (
     CoverQuery,
     DimensionMismatch,
@@ -244,6 +245,22 @@ def test_forward_oracle_rejects_small_bound():
     q = CoverQuery(Vas(1), (2,), (0,))
     with pytest.raises(ValueError):
         forward_cover_oracle(q, (1,))
+
+
+def test_forward_oracle_caps_visited_markings(monkeypatch):
+    counter = CoverQuery(Vas(1, (Transition("t", (0,), (1,)),)), (0,), (100,))
+    assert forward_cover_oracle(counter, (10**9,))
+    monkeypatch.setattr(coverability, "_MAX_MARKINGS", 5)
+    with pytest.raises(ValueError, match="visited 6 markings, over the limit of 5"):
+        forward_cover_oracle(counter, (10**9,))
+
+
+def test_forward_oracle_cap_counts_reachable_markings_not_the_box(monkeypatch):
+    # three reachable markings in a box of 10^18: exactly at the cap is fine
+    monkeypatch.setattr(coverability, "_MAX_MARKINGS", 3)
+    assert forward_cover_oracle(WORKED, (10**9, 10**9))
+    far = CoverQuery(WORKED.net, WORKED.initial, (0, 3))
+    assert not forward_cover_oracle(far, (10**9, 10**9))
 
 
 def test_basis_generators_cover_from_themselves():

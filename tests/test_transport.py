@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -74,6 +75,51 @@ def test_check_quasi_embedding_counterexample():
     ok, witness = check_quasi_embedding(collapse, [(((1, 0)), ((0, 1)))])
     assert not ok
     assert witness == ((1, 0), (0, 1))
+
+
+class CountingMap:
+    """A mapping that records how often it is called on each element."""
+
+    def __init__(self, mapping):
+        self.mapping = mapping
+        self.calls = Counter()
+
+    def __call__(self, x):
+        self.calls[x] += 1
+        return self.mapping(x)
+
+
+def test_check_quasi_embedding_maps_each_element_once():
+    pts = box(3, 2)
+    counting = CountingMap(dickson_to_word)
+    f = QuasiEmbedding("counted", leq, leq_e, counting)
+    ok, witness = check_quasi_embedding(f, product(pts, pts))
+    assert ok and witness is None
+    assert counting.calls == Counter(pts)
+
+
+def length_only(x):
+    """Vector to a one-letter word of length sum(x): not order-reflecting."""
+    return Word(Alphabet.indexed(1), (0,) * sum(x))
+
+
+def test_check_quasi_embedding_witness_matches_plain_loop():
+    rng = random.Random(26)
+    pts = box(2, 2)
+    for _ in range(50):
+        pairs = [(rng.choice(pts), rng.choice(pts)) for _ in range(rng.randint(1, 12))]
+        expected = next(
+            (
+                (a1, a2)
+                for a1, a2 in pairs
+                if leq_e(length_only(a1), length_only(a2)) and not leq(a1, a2)
+            ),
+            None,
+        )
+        counting = CountingMap(length_only)
+        f = QuasiEmbedding("length-only", leq, leq_e, counting)
+        assert check_quasi_embedding(f, pairs) == (expected is None, expected)
+        assert set(counting.calls.values()) == {1}
 
 
 def test_dickson_to_word_is_monotone():

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqokit import (
     Alphabet,
@@ -15,7 +17,7 @@ from wqokit import (
     support,
 )
 
-from oracles import embeds_recursive, words_upto
+from oracles import embeds_recursive, flag_occurrences, words_upto
 
 AB = Alphabet.from_letters("ab")
 ABC = Alphabet.from_letters("abc")
@@ -174,3 +176,52 @@ def test_strict_embedding_shrinks_length():
                 assert len(u) < len(v)
         if leq_E(u, v) and u != v:
             assert len(u) < len(v)
+
+
+@st.composite
+def word_pairs(draw):
+    """Two random words over one alphabet of 1 to 4 letters."""
+    k = draw(st.integers(1, 4))
+    alpha = Alphabet.from_letters("abcd"[:k])
+    letters = st.lists(st.integers(0, k - 1), max_size=8).map(tuple)
+    return Word(alpha, draw(letters)), Word(alpha, draw(letters))
+
+
+@settings(max_examples=400, deadline=None)
+@given(word_pairs())
+def test_leq_E_is_product_order_on_phi(pair):
+    u, v = pair
+    assert leq_E(u, v) == labeled_leq(phi(u), phi(v))
+
+
+@settings(max_examples=400, deadline=None)
+@given(word_pairs())
+def test_leq_E_matches_flagged_recursive_embedding(pair):
+    u, v = pair
+    expected = set(u.letters) == set(v.letters) and embeds_recursive(
+        flag_occurrences(u.letters), flag_occurrences(v.letters), {}
+    )
+    assert leq_E(u, v) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_pairs())
+def test_phi_round_trips_and_shares_the_doubled_alphabet(pair):
+    u, v = pair
+    assert tuple(l // 2 for l in phi(u).word.letters) == u.letters
+    assert phi(u).word.alphabet is phi(v).word.alphabet
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_pairs())
+def test_alphabet_check_compares_names_not_objects(pair):
+    u, v = pair
+    k = u.alphabet.size
+    twin = Word(Alphabet.from_letters("abcd"[:k]), v.letters)
+    assert twin.alphabet is not v.alphabet
+    assert leq_e(u, twin) == leq_e(u, v)
+    assert leq_E(u, twin) == leq_E(u, v)
+    other = Word(Alphabet.from_letters("wxyz"[:k]), v.letters)
+    for rel in (leq_e, leq_E):
+        with pytest.raises(AlphabetMismatch):
+            rel(u, other)
