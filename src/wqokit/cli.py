@@ -23,27 +23,34 @@ class CliError(Exception):
     """Usage-level failure; reported on stderr with exit status 2."""
 
 
-def _show(e) -> str:
-    return dickson.format_vec(e) if isinstance(e, tuple) else str(e)
-
-
 def _bool_line(value: bool) -> int:
     print("true" if value else "false")
     return 0 if value else 1
 
 
-def _infer_alphabet(texts, override: str | None) -> Alphabet:
-    """Pick the alphabet for a batch of word texts.
+def _carrier(texts, alphabet_opt, letters=()) -> Alphabet | None:
+    """Decide vectors vs words from the pooled element texts.
 
-    An explicit --alphabet wins. Otherwise letter-form words pool their
-    characters (sorted), index-form words pool their indices; mixing the
-    two forms needs the explicit flag. "[]" and blank texts carry no
-    information.
+    Returns None for vectors, else the words' alphabet; vectors and words
+    cannot share a command. An explicit --alphabet wins. Otherwise
+    letter-form words pool their characters (sorted) with the letter
+    arguments, and index-form words pool their indices; mixing the two
+    forms needs the explicit flag. Index-form letters are named "1".."m",
+    so letter arguments do not join them: such a name would read as a
+    letter-form word. "[]" and blank texts carry no information.
     """
-    if override:
-        return Alphabet.from_letters(override)
-    stripped = [t.strip() for t in texts]
-    informative = [t for t in stripped if t not in ("", "[]")]
+    texts = [t.strip() for t in texts]
+    if any(t.startswith("(") for t in texts):
+        if not all(t.startswith("(") for t in texts):
+            raise CliError("cannot mix vectors and words in one command")
+        if letters:
+            raise CliError("letter arguments apply to word upsets only")
+        return None
+    if alphabet_opt:
+        return Alphabet.from_letters(alphabet_opt)
+    if not any(t.startswith("[") for t in texts):
+        texts += [t.strip() for t in letters]
+    informative = [t for t in texts if t not in ("", "[]")]
     bracketed = [t for t in informative if t.startswith("[")]
     plain = [t for t in informative if not t.startswith("[")]
     if bracketed and plain:
@@ -60,26 +67,6 @@ def _infer_alphabet(texts, override: str | None) -> Alphabet:
             if dickson.is_decimal(part.strip()):
                 top = max(top, int(part.strip()))
     return Alphabet.indexed(top + 1)
-
-
-def _carrier(texts, alphabet_opt, letters=()) -> Alphabet | None:
-    """Decide vectors vs words from the pooled element texts.
-
-    Returns None for vectors, else the words' alphabet. Vectors and words
-    cannot share a command. Letter arguments join the alphabet inference
-    unless the texts are index-form words, whose letters are named
-    "1".."m": pooling such a name would read as a letter-form word.
-    """
-    texts = [t.strip() for t in texts]
-    if any(t.startswith("(") for t in texts):
-        if not all(t.startswith("(") for t in texts):
-            raise CliError("cannot mix vectors and words in one command")
-        if letters:
-            raise CliError("letter arguments apply to word upsets only")
-        return None
-    if any(t.startswith("[") for t in texts):
-        letters = ()
-    return _infer_alphabet(texts + list(letters), alphabet_opt)
 
 
 def _parse_elem(alpha: Alphabet | None, text: str):
@@ -112,7 +99,9 @@ def _cmd_order(ns) -> int:
         a = dickson.parse_vec(ns.left)
         b = dickson.parse_vec(ns.right)
         return _bool_line(dickson.leq(a, b))
-    alpha = _infer_alphabet([ns.left, ns.right], ns.alphabet)
+    alpha = _carrier([ns.left, ns.right], ns.alphabet)
+    if alpha is None:
+        raise CliError(f"{ns.relation} compares words, not vectors")
     u = words.parse_word(ns.left, alpha)
     v = words.parse_word(ns.right, alpha)
     rel = words.leq_e if ns.relation == "leq-e" else words.leq_E
@@ -134,7 +123,7 @@ def _cmd_seq(ns) -> int:
         return 1
     i, j = pair
     print(f"good pair: {i} {j}")
-    print(f"  {_show(seq[i])} <= {_show(seq[j])}")
+    print(f"  {upset._show(seq[i])} <= {upset._show(seq[j])}")
     return 0
 
 
@@ -232,7 +221,7 @@ def _cmd_embed(ns) -> int:
         return 0
     a1, a2 = witness
     print("false")
-    print(f"  counterexample: {_show(a1)}, {_show(a2)}")
+    print(f"  counterexample: {upset._show(a1)}, {upset._show(a2)}")
     return 1
 
 

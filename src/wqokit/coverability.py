@@ -241,11 +241,28 @@ def forward_cover_oracle(q: CoverQuery, bound: NatVec) -> bool:
     return False
 
 
-def _parse_vec_at(token: str, line: int, column: int) -> NatVec:
+# directive -> the words after it: keywords, and <values> (a <count> is decimal)
+_DIRECTIVES = {
+    "places": ("<count>",),
+    "transition": ("<name>", "consume", "<vec>", "produce", "<vec>"),
+    "initial": ("<vec>",),
+    "target": ("<vec>",),
+}
+
+
+def _net_vec(token: str, line: int, column: int, places: int | None) -> NatVec:
+    """Parse a vector token; once places is known, check its dimension."""
     try:
-        return parse_vec(token)
+        v = parse_vec(token)
     except ValueError as exc:
         raise NetParseError(str(exc), line, column) from None
+    if places is not None and len(v) != places:
+        raise NetParseError(
+            f"vector {format_vec(v)} has dimension {len(v)}, net has {places} places",
+            line,
+            column,
+        )
+    return v
 
 
 def parse_net(text: str) -> CoverQuery:
@@ -256,101 +273,55 @@ def parse_net(text: str) -> CoverQuery:
         initial (2,0)
         target (0,2)
 
-    Blank lines and # comments are skipped. The places line must come
-    first; transition lines may repeat; initial and target are required.
+    Each line is one directive of _DIRECTIVES; blank lines and # comments
+    are skipped. places, initial and target appear exactly once, in any
+    order, but places must come before the transitions, which may repeat.
+    An initial or target line read before places is checked against the
+    place count when the query is built, raising DimensionMismatch.
     """
-    places: int | None = None
+    seen: dict = {}  # places, initial and target, once read
     transitions: list[Transition] = []
-    initial: NatVec | None = None
-    target: NatVec | None = None
-
-    def check_dim(v: NatVec, line: int, column: int) -> NatVec:
-        if places is not None and len(v) != places:
-            raise NetParseError(
-                f"vector {format_vec(v)} has dimension {len(v)}, "
-                f"net has {places} places",
-                line,
-                column,
-            )
-        return v
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         toks = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
         if not toks:
             continue
-        head, head_col = toks[0]
-        if head == "places":
-            if places is not None:
-                raise NetParseError("duplicate places line", lineno, head_col)
-            if len(toks) != 2 or not is_decimal(toks[1][0]):
-                raise NetParseError(
-                    "expected: places <count>", lineno, head_col
-                )
-            places = int(toks[1][0])
-            if places < 1:
-                raise NetParseError(
-                    "a net needs at least one place", lineno, toks[1][1]
-                )
-        elif head == "transition":
-            if places is None:
-                raise NetParseError(
-                    "places must be declared before transitions",
-                    lineno,
-                    head_col,
-                )
-            if (
-                len(toks) != 6
-                or toks[2][0] != "consume"
-                or toks[4][0] != "produce"
-            ):
-                raise NetParseError(
-                    "expected: transition <name> consume <vec> produce <vec>",
-                    lineno,
-                    head_col,
-                )
-            consume = check_dim(
-                _parse_vec_at(toks[3][0], lineno, toks[3][1]),
-                lineno,
-                toks[3][1],
-            )
-            produce = check_dim(
-                _parse_vec_at(toks[5][0], lineno, toks[5][1]),
-                lineno,
-                toks[5][1],
-            )
-            transitions.append(Transition(toks[1][0], consume, produce))
-        elif head in ("initial", "target"):
-            if len(toks) != 2:
-                raise NetParseError(
-                    f"expected: {head} <vec>", lineno, head_col
-                )
-            v = check_dim(
-                _parse_vec_at(toks[1][0], lineno, toks[1][1]),
-                lineno,
-                toks[1][1],
-            )
-            if head == "initial":
-                if initial is not None:
-                    raise NetParseError(
-                        "duplicate initial line", lineno, head_col
-                    )
-                initial = v
-            else:
-                if target is not None:
-                    raise NetParseError(
-                        "duplicate target line", lineno, head_col
-                    )
-                target = v
-        else:
+        (head, col), args = toks[0], toks[1:]
+        words = _DIRECTIVES.get(head)
+        places = seen.get("places")
+        if words is None:
+            raise NetParseError(f"unknown directive {head!r}", lineno, col)
+        if head == "places" and places is not None:
+            raise NetParseError("duplicate places line", lineno, col)
+        if head == "transition" and places is None:
             raise NetParseError(
-                f"unknown directive {head!r}", lineno, head_col
+                "places must be declared before transitions", lineno, col
             )
-
-    if places is None:
-        raise NetParseError("missing places line")
-    if initial is None:
-        raise NetParseError("missing initial line")
-    if target is None:
-        raise NetParseError("missing target line")
-    return CoverQuery(Vas(places, tuple(transitions)), initial, target)
+        if len(args) != len(words) or any(
+            tok != w if w[0] != "<" else (w == "<count>" and not is_decimal(tok))
+            for (tok, _), w in zip(args, words)
+        ):
+            raise NetParseError("expected: " + " ".join((head, *words)), lineno, col)
+        if head == "places":
+            seen[head] = int(args[0][0])
+            if seen[head] < 1:
+                raise NetParseError(
+                    "a net needs at least one place", lineno, args[0][1]
+                )
+            continue
+        vecs = [
+            _net_vec(tok, lineno, c, places)
+            for (tok, c), w in zip(args, words)
+            if w == "<vec>"
+        ]
+        if head == "transition":
+            transitions.append(Transition(args[0][0], *vecs))
+        elif head in seen:
+            raise NetParseError(f"duplicate {head} line", lineno, col)
+        else:
+            seen[head] = vecs[0]
+    for head in ("places", "initial", "target"):
+        if head not in seen:
+            raise NetParseError(f"missing {head} line")
+    net = Vas(seen["places"], tuple(transitions))
+    return CoverQuery(net, seen["initial"], seen["target"])

@@ -30,6 +30,7 @@ BLOCKS = {
     "bad_idx": "upset { [0,q] }",
     "seq_empty": "# nothing here\n\n",
     "seq_mixed": "(1,0)\nab\n",
+    "bad_net": "places 1\ninitial (x)\ntarget (0)\n",
 }
 
 
@@ -144,6 +145,12 @@ ERR = [
     (["order", "leq-e", "ab", "[0,1]"],
      "cannot mix letter-form and index-form words without --alphabet"),
     (["order", "dickson", "ab", "(1)"], "expected a parenthesized vector, got 'ab'"),
+    (["cover", "{bad_net}"], "line 2, column 9: bad vector component 'x' in '(x)'"),
+    # word relations refuse vectors instead of reading them as letter-form words
+    (["order", "leq-e", "(1,2)", "(1,2,3)"], "leq-e compares words, not vectors"),
+    (["order", "leq-E", "(1,2)", "(2,1)"], "leq-E compares words, not vectors"),
+    (["order", "leq-e", "(1,2)", "ab"], "cannot mix vectors and words in one command"),
+    (["order", "leq-E", "[0]", "(1)"], "cannot mix vectors and words in one command"),
 ]
 
 

@@ -285,25 +285,156 @@ def test_parse_net_skips_blanks_and_comments():
     assert q.net.places == 1 and q.net.transitions == ()
 
 
-@pytest.mark.parametrize(
-    "text,fragment",
-    [
-        ("places 0\ninitial (0)\ntarget (0)", "at least one place"),
-        ("places 1\nplaces 1\ninitial (0)\ntarget (0)", "duplicate places"),
-        ("transition t consume (1) produce (0)\nplaces 1", "before transitions"),
-        ("places 1\ntransition t consume (1)\ninitial (0)\ntarget (0)", "expected"),
-        ("places 1\ninitial (0,0)\ntarget (0)", "dimension"),
-        ("places 1\ninitial (x)\ntarget (0)", "component"),
-        ("places 1\nfoo bar\ninitial (0)\ntarget (0)", "unknown directive"),
-        ("places 1\ninitial (0)", "missing target"),
-        ("initial (0)\ntarget (0)", "missing places"),
-        ("places 1\ntarget (0)", "missing initial"),
-    ],
+_SPACE = st.text(" \t", max_size=2)
+_GAP = st.text(" \t", min_size=1, max_size=3)
+_COMMENT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
+_NAME = st.text(
+    st.characters(min_codepoint=33, max_codepoint=126, blacklist_characters="#"),
+    min_size=1,
+    max_size=4,
 )
-def test_parse_net_errors(text, fragment):
+
+
+@st.composite
+def net_texts(draw):
+    """A random query and a text for it: spacing, blank lines, comments,
+    leading zeros, and initial/target anywhere, before places too."""
+    m = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(0, 12)] * m)
+
+    def write(v):
+        digits = [draw(st.sampled_from(["", "0"])) + str(x) for x in v]
+        return "(" + ",".join(digits) + ")"
+
+    def line(*words):
+        text = draw(_SPACE) + "".join(w + draw(_GAP) for w in words)
+        if draw(st.booleans()):
+            text = text.rstrip(" \t") + draw(_SPACE) + "#" + draw(_COMMENT)
+        return text
+
+    pairs = draw(st.lists(st.tuples(_NAME, vec, vec), max_size=4))
+    lines = [line("places", str(m))]
+    for n, c, p in pairs:
+        lines.append(line("transition", n, "consume", write(c), "produce", write(p)))
+    initial, target = draw(vec), draw(vec)
+    for head, v in (("initial", initial), ("target", target)):
+        lines.insert(draw(st.integers(0, len(lines))), line(head, write(v)))
+    for _ in range(draw(st.integers(0, 3))):
+        blank = draw(st.sampled_from(["", " \t", "#" + draw(_COMMENT)]))
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    net = Vas(m, tuple(Transition(n, c, p) for n, c, p in pairs))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    return CoverQuery(net, initial, target), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(net_texts())
+def test_parse_net_accepts_every_well_formed_text(case):
+    q, text = case
+    assert parse_net(text) == q
+
+
+# (text, fragment, exact message). The fragment names the branch and
+# keeps the test ids of the earlier fragment-only table.
+PARSE_NET_ERRORS = [
+    ("places 0\ninitial (0)\ntarget (0)", "at least one place",
+     "line 1, column 8: a net needs at least one place"),
+    ("places 1\nplaces 1\ninitial (0)\ntarget (0)", "duplicate places",
+     "line 2, column 1: duplicate places line"),
+    ("transition t consume (1) produce (0)\nplaces 1", "before transitions",
+     "line 1, column 1: places must be declared before transitions"),
+    ("places 1\ntransition t consume (1)\ninitial (0)\ntarget (0)", "expected",
+     "line 2, column 1: expected: transition <name> consume <vec> produce <vec>"),
+    ("places 1\ninitial (0,0)\ntarget (0)", "dimension",
+     "line 2, column 9: vector (0,0) has dimension 2, net has 1 places"),
+    ("places 1\ninitial (x)\ntarget (0)", "component",
+     "line 2, column 9: bad vector component 'x' in '(x)'"),
+    ("places 1\nfoo bar\ninitial (0)\ntarget (0)", "unknown directive",
+     "line 2, column 1: unknown directive 'foo'"),
+    ("places 1\ninitial (0)", "missing target", "missing target line"),
+    ("initial (0)\ntarget (0)", "missing places", "missing places line"),
+    ("places 1\ntarget (0)", "missing initial", "missing initial line"),
+    # places
+    ("places x\ninitial (0)\ntarget (0)", "count not a number",
+     "line 1, column 1: expected: places <count>"),
+    ("places 1 2\ninitial (0)\ntarget (0)", "two counts",
+     "line 1, column 1: expected: places <count>"),
+    ("places\ninitial (0)\ntarget (0)", "no count",
+     "line 1, column 1: expected: places <count>"),
+    ("places 1\nplaces x\ninitial (0)\ntarget (0)", "duplicate before count",
+     "line 2, column 1: duplicate places line"),
+    ("places 1\nPlaces 1\ninitial (0)\ntarget (0)", "directives are case-sensitive",
+     "line 2, column 1: unknown directive 'Places'"),
+    # transitions
+    ("transition t\nplaces 1", "places first before shape",
+     "line 1, column 1: places must be declared before transitions"),
+    ("places 1\ntransition t produce (1) consume (0)\ninitial (0)\ntarget (0)",
+     "swapped keywords",
+     "line 2, column 1: expected: transition <name> consume <vec> produce <vec>"),
+    ("places 1\ninitial (0)\ntarget (0)\ntransition t consume (1) produce (0) x",
+     "extra word",
+     "line 4, column 1: expected: transition <name> consume <vec> produce <vec>"),
+    ("places 2\ntransition t consume (1) produce (0,0)\ninitial (0,0)\ntarget (0,0)",
+     "consume dimension",
+     "line 2, column 22: vector (1) has dimension 1, net has 2 places"),
+    ("places 2\ntransition t consume (1,0) produce (0)\ninitial (0,0)\ntarget (0,0)",
+     "produce dimension",
+     "line 2, column 36: vector (0) has dimension 1, net has 2 places"),
+    ("places 1\ntransition t consume (x) produce (0)\ninitial (0)\ntarget (0)",
+     "consume component",
+     "line 2, column 22: bad vector component 'x' in '(x)'"),
+    ("places 1\ntransition t consume (1) produce 0\ninitial (0)\ntarget (0)",
+     "produce not a vector",
+     "line 2, column 34: expected a parenthesized vector, got '0'"),
+    ("places 1\ntransition t consume (x) produce (0,0)\ninitial (0)\ntarget (0)",
+     "consume before produce",
+     "line 2, column 22: bad vector component 'x' in '(x)'"),
+    # initial and target
+    ("places 1\ninitial (0)\ninitial (1)\ntarget (0)", "duplicate initial",
+     "line 3, column 1: duplicate initial line"),
+    ("places 1\ninitial (0)\ntarget (0)\n  target (1)", "duplicate target",
+     "line 4, column 3: duplicate target line"),
+    ("places 1\ninitial (0)\ninitial (x)\ntarget (0)", "vector before duplicate",
+     "line 3, column 9: bad vector component 'x' in '(x)'"),
+    ("places 1\ninitial (0)\ninitial (0,0)\ntarget (0)", "dimension before duplicate",
+     "line 3, column 9: vector (0,0) has dimension 2, net has 1 places"),
+    ("places 1\ninitial # (0)\ntarget (0)", "inline comment",
+     "line 2, column 1: expected: initial <vec>"),
+    ("places 1\ninitial (0) (0)\ntarget (0)", "two vectors",
+     "line 2, column 1: expected: initial <vec>"),
+    ("places 1\ninitial ()\ntarget (0)", "empty vector",
+     "line 2, column 9: a vector needs at least one component"),
+    ("places 1\n\tinitial\t(x)\ntarget (0)", "tabs count one column",
+     "line 2, column 10: bad vector component 'x' in '(x)'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text,fragment,message",
+    PARSE_NET_ERRORS,
+    ids=[f"{text}-{fragment}" for text, fragment, _ in PARSE_NET_ERRORS],
+)
+def test_parse_net_errors(text, fragment, message):
     with pytest.raises(NetParseError) as err:
         parse_net(text)
-    assert fragment in str(err.value)
+    assert type(err.value) is NetParseError
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("initial (0,0)\nplaces 1\ntarget (0)",
+         "initial marking (0,0) has dimension 2, net has 1 places"),
+        ("target (0,0)\nplaces 1\ninitial (0)",
+         "target marking (0,0) has dimension 2, net has 1 places"),
+    ],
+)
+def test_parse_net_checks_markings_before_places_when_building(text, message):
+    with pytest.raises(DimensionMismatch) as err:
+        parse_net(text)
+    assert type(err.value) is DimensionMismatch
+    assert str(err.value) == message
 
 
 def test_parse_net_error_carries_line_and_column():
