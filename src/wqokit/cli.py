@@ -33,7 +33,8 @@ def _carrier(texts, alphabet_opt, letters=()) -> Alphabet | None:
 
     Returns None for vectors, else the words' alphabet; vectors and words
     cannot share a command. An explicit --alphabet wins. Otherwise
-    letter-form words pool their characters (sorted) with the letter
+    letter-form words, checked against the letter-form grammar of
+    words.parse_word, pool their characters (sorted) with the letter
     arguments, and index-form words pool their indices; mixing the two
     forms needs the explicit flag. Index-form letters are named "1".."m",
     so letter arguments do not join them: such a name would read as a
@@ -57,6 +58,8 @@ def _carrier(texts, alphabet_opt, letters=()) -> Alphabet | None:
         raise CliError(
             "cannot mix letter-form and index-form words without --alphabet"
         )
+    for t in plain:
+        words._check_letter_form(t)
     if plain:
         return Alphabet.from_letters(
             "".join(sorted({ch for t in plain for ch in t}))

@@ -15,23 +15,34 @@ is monotone, so a round need only take pre-images of the generators the
 previous round added: those of older generators are already in the set.
 Each candidate is inserted into the antichain once. It is dropped when
 some generator lies below it; otherwise it evicts the generators above
-it. The antichain is bucketed by coordinate sum, since b <= c implies
-sum(b) <= sum(c): only buckets of smaller or equal sum can hold an
-element below the candidate, and only buckets of greater sum one above.
-Every round yields the same upward closed set as renormalizing the
+it. Every round yields the same upward closed set as renormalizing the
 whole basis would, so verdicts, round counts and bases are unchanged.
+
+The antichain is a coordinate trie (the covering sharing trees of
+Delzanno, Raskin and Van Begin, 2004, with shared prefixes only): nested
+dicts with one level per place, each root-to-leaf path one generator.
+b <= c holds iff b[i] <= c[i] at every level, so the search for a
+generator below c enters only the children keyed <= c[i], and eviction
+enters only those keyed >= c[i]; a whole subtrie is skipped on one
+comparison of its key. Eviction deletes the nodes it empties and returns
+how many generators it removed, so the basis size is a running count,
+and whether a generator is still in the basis is one path lookup. The
+limit is the basis itself: it can grow doubly exponentially in the net
+(Rackoff 1978), and every candidate still meets the generators it
+cannot rule out by a key.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import sub
 from typing import NamedTuple
 
-from .dickson import DimensionMismatch, NatVec, format_vec, is_decimal
+from .dickson import DimensionMismatch, IntVec, NatVec, _require_same_dim
+from .dickson import format_vec, is_decimal, parse_vec
 from .dickson import leq as vec_leq
-from .dickson import monus, join, parse_vec
-from .upset import UpSet, dickson_upset
+from .upset import UpSet, _antichain_upset, dickson_upset
 
 
 class SaturationLimit(RuntimeError):
@@ -110,37 +121,110 @@ class CoverResult(NamedTuple):
     iterations: int
 
 
-def _pre(g: NatVec, t: Transition) -> NatVec:
-    """Least marking from which firing t lands above g.
+def _delta(t: Transition) -> IntVec:
+    """Firing effect produce - consume."""
+    return tuple(map(sub, t.produce, t.consume))
 
-    Firing t from v requires v >= consume and yields v + produce - consume.
-    monus undoes the firing effect without going negative, join restores
-    enabledness.
+
+def _pre(g: NatVec, consume: NatVec, delta: IntVec) -> NatVec:
+    """Least marking from which firing (consume, delta) lands above g.
+
+    Firing from v requires v >= consume and yields v + delta, so the least
+    such v is max(g - delta, consume), componentwise; consume >= 0 keeps
+    it natural. The caller has checked the dimensions.
     """
-    delta = tuple(p - c for c, p in zip(t.consume, t.produce))
-    return join(monus(g, delta), t.consume)
+    return tuple(map(max, map(sub, g, delta), consume))
 
 
 def pre_step(x: UpSet, t: Transition) -> UpSet:
     """Minimal markings from which firing t lands in x."""
-    return dickson_upset(_pre(g, t) for g in x.gens)
+    for g in x.gens:
+        _require_same_dim(g, t.consume)
+    delta = _delta(t)
+    return dickson_upset(_pre(g, t.consume, delta) for g in x.gens)
 
 
-def _insert(basis: dict[int, list[NatVec]], c: NatVec) -> bool:
-    """Add c to the antichain unless it is dominated; evict what it dominates.
+class _Trie:
+    """Antichain of vectors of one dimension, as a coordinate trie.
 
-    basis maps a coordinate sum to the generators with that sum. Returns
-    whether c was added.
+    Nested dicts, one level per coordinate: the root maps c[0] to a node
+    for the vectors starting with c[0], and so on; the last level maps
+    c[-1] to the vector c itself. Every root-to-leaf path is one element,
+    and no node is empty. size counts the elements.
     """
-    s = sum(c)
-    for k, bucket in basis.items():
-        if k <= s and any(vec_leq(b, c) for b in bucket):
+
+    __slots__ = ("root", "last", "size")
+
+    def __init__(self, dim: int):
+        self.root: dict = {}
+        self.last = dim - 1
+        self.size = 0
+
+    def add(self, c: NatVec) -> bool:
+        """Add c unless an element lies below it; evict the elements above it.
+
+        Returns whether c was added.
+        """
+        if _has_below(self.root, c, 0, self.last):
             return False
-    for k, bucket in basis.items():
-        if k > s:
-            bucket[:] = [b for b in bucket if not vec_leq(c, b)]
-    basis.setdefault(s, []).append(c)
-    return True
+        self.size -= _evict_above(self.root, c, 0, self.last)
+        node = self.root
+        for x in c[:-1]:
+            node = node.setdefault(x, {})
+        node[c[-1]] = c
+        self.size += 1
+        return True
+
+    def __contains__(self, c: NatVec) -> bool:
+        node = self.root
+        for x in c:
+            node = node.get(x)
+            if node is None:
+                return False
+        return True
+
+    def __iter__(self):
+        nodes = [self.root]
+        for _ in range(self.last):
+            nodes = [child for node in nodes for child in node.values()]
+        return (c for node in nodes for c in node.values())
+
+
+def _has_below(node: dict, c: NatVec, i: int, last: int) -> bool:
+    """Whether some path under node, at depth i, is <= c[i:].
+
+    Only keys <= c[i] can start such a path, so no other child is entered.
+    """
+    ci = c[i]
+    if i == last:
+        for k in node:
+            if k <= ci:
+                return True
+        return False
+    for k, child in node.items():
+        if k <= ci and _has_below(child, c, i + 1, last):
+            return True
+    return False
+
+
+def _evict_above(node: dict, c: NatVec, i: int, last: int) -> int:
+    """Delete the paths under node, at depth i, that are >= c[i:].
+
+    Only keys >= c[i] can start such a path. Nodes left empty are
+    deleted too. Returns the number of paths deleted.
+    """
+    ci = c[i]
+    removed = 0
+    for k in [k for k in node if k >= ci]:
+        if i == last:
+            del node[k]
+            removed += 1
+            continue
+        child = node[k]
+        removed += _evict_above(child, c, i + 1, last)
+        if not child:
+            del node[k]
+    return removed
 
 
 def backward_cover(
@@ -162,42 +246,36 @@ def backward_cover(
     nor reached the fixpoint, or when a round ends with more than
     max_basis generators.
     """
-    basis = {sum(q.target): [q.target]}
+    steps = [(t.consume, _delta(t)) for t in q.net.transitions]
+    basis = _Trie(q.net.places)
+    basis.add(q.target)
     frontier = [q.target]
     iterations = 0
     while True:
-        # older generators were already found not to lie below initial
+        # older generators were already found not to lie below initial;
+        # one checked comparison per new generator, not per candidate
         if any(vec_leq(g, q.initial) for g in frontier):
-            return CoverResult(True, _upset(basis), iterations)
+            return CoverResult(True, _antichain_upset(vec_leq, basis), iterations)
         if max_iterations is not None and iterations >= max_iterations:
             raise SaturationLimit(
                 f"no fixpoint within {max_iterations} rounds; "
-                f"the basis has {_size(basis)} generators"
+                f"the basis has {basis.size} generators"
             )
         added = []
         for g in frontier:
-            for t in q.net.transitions:
-                c = _pre(g, t)
-                if _insert(basis, c):
+            for consume, delta in steps:
+                c = _pre(g, consume, delta)
+                if basis.add(c):
                     added.append(c)
-        size = _size(basis)
-        if size > max_basis:
+        if basis.size > max_basis:
             raise SaturationLimit(
-                f"basis reached {size} generators in round {iterations + 1}, "
+                f"basis reached {basis.size} generators in round {iterations + 1}, "
                 f"over the limit of {max_basis}"
             )
         if not added:
-            return CoverResult(False, _upset(basis), iterations)
-        frontier = [c for c in added if c in basis[sum(c)]]
+            return CoverResult(False, _antichain_upset(vec_leq, basis), iterations)
+        frontier = [c for c in added if c in basis]
         iterations += 1
-
-
-def _size(basis: dict[int, list[NatVec]]) -> int:
-    return sum(map(len, basis.values()))
-
-
-def _upset(basis: dict[int, list[NatVec]]) -> UpSet:
-    return dickson_upset(g for bucket in basis.values() for g in bucket)
 
 
 _MAX_MARKINGS = 10**6

@@ -104,6 +104,14 @@ class UpSet:
         return "UpSet({%s})" % ", ".join(_show(g) for g in self.gens)
 
 
+def _antichain_upset(leq: Callable[[Any, Any], bool], gens: Iterable) -> UpSet:
+    """UpSet of gens that are already an antichain under leq: only sorted."""
+    x = UpSet.__new__(UpSet)
+    x.leq = leq
+    x.gens = tuple(sorted(gens, key=_key))
+    return x
+
+
 def dickson_upset(gens: Iterable[NatVec] = ()) -> UpSet:
     """Upset of vectors under the componentwise order."""
     return UpSet(vec_leq, gens)

@@ -9,6 +9,7 @@ marking each letter occurrence with a first-seen flag (``phi``).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -172,10 +173,23 @@ def labeled_leq(p: LabeledWord, q: LabeledWord) -> bool:
     return p.support == q.support and leq_e(p.word, q.word)
 
 
+# A letter-form word is a run of non-space characters, none of them one
+# of the delimiters of vectors, index lists and upset blocks.
+_LETTER_FORM = re.compile(r"[^\s(),\[\]{}]+")
+
+
+def _check_letter_form(text: str) -> None:
+    if not _LETTER_FORM.fullmatch(text):
+        raise ValueError(
+            f"bad word {text!r}: a letter-form word has no spaces and none of (),[]{{}}"
+        )
+
+
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse juxtaposed letter names ("aabbca") or an index list ("[0,1,2]").
 
     The empty word is written "[]" (an empty string also parses to it).
+    Letter form admits no spaces and none of the characters (),[]{}.
     """
     stripped = text.strip()
     if stripped in ("", "[]"):
@@ -195,4 +209,5 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
             f"alphabet {alphabet} has multi-character names; "
             f"write the word as an index list"
         )
+    _check_letter_form(stripped)
     return Word(alphabet, tuple(alphabet.index(ch) for ch in stripped))

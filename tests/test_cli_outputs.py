@@ -28,6 +28,7 @@ BLOCKS = {
     "bad": "not a block",
     "bad_vec": "upset { (1,x) }",
     "bad_idx": "upset { [0,q] }",
+    "commas": "upset { a,b }",
     "seq_empty": "# nothing here\n\n",
     "seq_mixed": "(1,0)\nab\n",
     "bad_net": "places 1\ninitial (x)\ntarget (0)\n",
@@ -151,6 +152,14 @@ ERR = [
     (["order", "leq-E", "(1,2)", "(2,1)"], "leq-E compares words, not vectors"),
     (["order", "leq-e", "(1,2)", "ab"], "cannot mix vectors and words in one command"),
     (["order", "leq-E", "[0]", "(1)"], "cannot mix vectors and words in one command"),
+    # a letter-form word has no spaces and none of (),[]{}
+    (["order", "leq-e", "a b", "ab"],
+     "bad word 'a b': a letter-form word has no spaces and none of (),[]{{}}"),
+    (["upset", "normalize", "{commas}"],
+     "bad word 'a,b': a letter-form word has no spaces and none of (),[]{{}}"),
+    # checked before a letter argument joins the inferred alphabet
+    (["upset", "quotient", "a b", "{let}"],
+     "bad word 'a b': a letter-form word has no spaces and none of (),[]{{}}"),
 ]
 
 

@@ -1,11 +1,13 @@
 import random
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqokit import coverability
+from wqokit.coverability import CoverResult
 from wqokit import (
     CoverQuery,
     DimensionMismatch,
@@ -22,7 +24,7 @@ from wqokit import (
     pre_step,
 )
 
-from oracles import box, pre_points, rand_vec
+from oracles import box, minimal_elements, pre_points, rand_vec
 
 WORKED = CoverQuery(
     Vas(2, (Transition("t1", (1, 0), (0, 1)),)),
@@ -47,6 +49,8 @@ def test_construction_validates_dimensions():
         CoverQuery(Vas(2), (1, 0, 0), (0, 1))
     with pytest.raises(ValueError):
         Vas(0)
+    with pytest.raises(DimensionMismatch):
+        pre_step(dickson_upset([(0, 2, 0)]), WORKED.net.transitions[0])
 
 
 def test_pre_step_examples():
@@ -153,45 +157,70 @@ def test_backward_cover_basis_limit_is_a_resource_limit():
         backward_cover(q, max_basis=5)
 
 
-def test_backward_cover_chain6_basis_is_all_minimal_solutions():
-    # one token on place i becomes 2^(5-i) tokens on the last place, so the
-    # coverable region is {m : sum m_i 2^(5-i) >= 33}; brute-force its
-    # minimal elements: the last place is forced once the others are set,
-    # and m is minimal iff removing any one token leaves the region
-    w = [2 ** (5 - i) for i in range(6)]
-    prefixes = product(*(range(-(-33 // wi) + 1) for wi in w[:-1]))
-    sols = [
-        m + (max(0, 33 - sum(a * b for a, b in zip(m, w))),) for m in prefixes
-    ]
-    minimal = [
-        m
-        for m in sols
-        if all(
-            sum(a * b for a, b in zip(m, w)) - w[i] < 33
-            for i in range(6)
-            if m[i]
-        )
-    ]
-    result = backward_cover(chain(6, (1, 0, 0, 0, 0, 0), 33))
+def test_saturation_limit_messages():
+    q = chain(4, (1, 0, 0, 0), 9)
+    with pytest.raises(SaturationLimit) as err:
+        backward_cover(q, max_basis=5)
+    assert str(err.value) == "basis reached 6 generators in round 3, over the limit of 5"
+    with pytest.raises(SaturationLimit) as err:
+        backward_cover(q, max_iterations=2)
+    assert str(err.value) == "no fixpoint within 2 rounds; the basis has 4 generators"
+
+
+def chain_minimal_solutions(n: int, target: int) -> list:
+    """Brute-force minimal m with sum m_i 2^(n-1-i) >= target.
+
+    One token on place i becomes 2^(n-1-i) tokens on the last place, so
+    these generate the coverable region of chain(n, ., target). The last
+    place is forced once the others are set, and m is minimal iff
+    removing any one token leaves the region.
+    """
+    w = [2 ** (n - 1 - i) for i in range(n)]
+    minimal = []
+    for m in product(*(range(-(-target // wi) + 1) for wi in w[:-1])):
+        m += (max(0, target - sum(map(mul, m, w))),)
+        total = sum(map(mul, m, w))
+        if all(total - wi < target for wi, mi in zip(w, m) if mi):
+            minimal.append(m)
+    return minimal
+
+
+def _check_chain_basis(n: int, size: int, rounds: int) -> None:
+    target = 2 ** (n - 1) + 1
+    minimal = chain_minimal_solutions(n, target)
+    result = backward_cover(chain(n, (1,) + (0,) * (n - 1), target))
     assert not result.coverable
+    assert result.iterations == rounds
     assert result.basis.gens == tuple(sorted(minimal))
-    assert len(minimal) == 255
+    assert len(minimal) == size
 
 
-def round_by_round(q: CoverQuery, max_iterations: int | None = None):
+def test_backward_cover_chain6_basis_is_all_minimal_solutions():
+    _check_chain_basis(6, 255, 36)
+
+
+def test_backward_cover_chain7_basis_is_all_minimal_solutions():
+    _check_chain_basis(7, 2083, 69)
+
+
+def round_by_round(
+    q: CoverQuery, max_iterations: int | None = None, max_basis: int | None = None
+):
     """Reference saturation: renormalize the whole basis every round."""
     current = dickson_upset([q.target])
     iterations = 0
     while True:
         if current.member(q.initial):
-            return True, iterations, current.gens
+            return CoverResult(True, current, iterations)
         if max_iterations is not None and iterations >= max_iterations:
             raise SaturationLimit("reference cap")
         nxt = current
         for t in q.net.transitions:
             nxt = nxt.union(pre_step(current, t))
+        if max_basis is not None and len(nxt.gens) > max_basis:
+            raise SaturationLimit("reference size cap")
         if nxt == current:
-            return False, iterations, current.gens
+            return CoverResult(False, current, iterations)
         current = nxt
         iterations += 1
 
@@ -205,9 +234,9 @@ def small_queries(draw):
     return CoverQuery(Vas(m, ts), draw(vec), draw(vec))
 
 
-def _outcome(run):
+def _outcome(run, q, **caps):
     try:
-        return run()
+        return run(q, **caps)
     except SaturationLimit:
         return "limit"
 
@@ -216,15 +245,48 @@ def _outcome(run):
 @given(small_queries())
 def test_backward_cover_matches_round_by_round_saturation(q):
     r = backward_cover(q)
-    assert (r.coverable, r.iterations, r.basis.gens) == round_by_round(q)
+    assert r == round_by_round(q)
     for cap in range(r.iterations + 2):
-        mine = _outcome(lambda: backward_cover(q, max_iterations=cap))
-        if mine != "limit":
-            mine = (mine.coverable, mine.iterations, mine.basis.gens)
-        assert mine == _outcome(lambda: round_by_round(q, cap))
+        mine = _outcome(backward_cover, q, max_iterations=cap)
+        assert mine == _outcome(round_by_round, q, max_iterations=cap)
+    for cap in range(len(r.basis.gens) + 2):
+        mine = _outcome(backward_cover, q, max_basis=cap)
+        assert mine == _outcome(round_by_round, q, max_basis=cap)
     if r.iterations:
         with pytest.raises(SaturationLimit):
             backward_cover(q, max_iterations=r.iterations - 1)
+
+
+@st.composite
+def vector_runs(draw):
+    m = draw(st.integers(1, 5))
+    return m, draw(st.lists(st.tuples(*[st.integers(0, 4)] * m), max_size=30))
+
+
+def trie_paths(node: dict, depth: int, last: int, prefix=()):
+    """Walk the trie by hand: no node is empty, each leaf is its path."""
+    assert node, f"empty node under {prefix}"
+    for k, child in node.items():
+        if depth == last:
+            assert child == prefix + (k,)
+            yield child
+        else:
+            yield from trie_paths(child, depth + 1, last, prefix + (k,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_runs())
+def test_trie_keeps_the_minimal_elements(run):
+    m, vecs = run
+    trie = coverability._Trie(m)
+    for k, c in enumerate(vecs):
+        kept = list(trie)
+        assert trie.add(c) == (not any(leq(b, c) for b in kept))
+        want = minimal_elements(vecs[: k + 1], leq)
+        paths = list(trie_paths(trie.root, 0, m - 1))
+        assert len(paths) == len(want) == trie.size
+        assert set(paths) == set(trie) == want
+        assert all((c in trie) == (c in want) for c in vecs)
 
 
 def test_forward_oracle_examples():

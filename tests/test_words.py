@@ -71,6 +71,14 @@ def test_parse_word_forms():
         parse_word("ab", AB.doubled())  # multi-character names need indices
 
 
+@pytest.mark.parametrize("text", ["a b", "a\tb", "a,b", "a(b", "ab)", "a]", "{a}", "a[0]"])
+def test_parse_word_refuses_what_letter_form_excludes(text):
+    # even when the alphabet names the character
+    alpha = Alphabet.from_letters("ab \t,()[]{}0")
+    with pytest.raises(ValueError, match="letter-form word"):
+        parse_word(text, alpha)
+
+
 def test_leq_e_examples():
     assert leq_e(w("aabbca", ABC), w("abababcac", ABC))
     assert not leq_e(w("abababcac", ABC), w("aabbca", ABC))
