@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from pathlib import Path
 
@@ -287,7 +287,9 @@ _COMMANDS = [
 ]
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="wqokit",
         description="Embedding orders, upward closed sets, and coverability.",
@@ -307,9 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -35,11 +35,10 @@ cannot rule out by a key.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import sub
 from typing import NamedTuple
 
-from .dickson import DimensionMismatch, IntVec, NatVec, _require_same_dim
+from .dickson import DimensionMismatch, IntVec, NatVec, _require_same_dim, _Value
 from .dickson import format_vec, is_decimal, parse_vec
 from .dickson import leq as vec_leq
 from .upset import UpSet, _antichain_upset, dickson_upset
@@ -69,50 +68,53 @@ class NetParseError(ValueError):
         return self.message
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(_Value):
+    __slots__ = ("name", "consume", "produce")
     name: str
     consume: NatVec
     produce: NatVec
 
-    def __post_init__(self):
-        if len(self.consume) != len(self.produce):
+    def __init__(self, name: str, consume: NatVec, produce: NatVec):
+        if len(consume) != len(produce):
             raise DimensionMismatch(
-                f"transition {self.name}: consume {format_vec(self.consume)} "
-                f"and produce {format_vec(self.produce)} differ in dimension"
+                f"transition {name}: consume {format_vec(consume)} "
+                f"and produce {format_vec(produce)} differ in dimension"
             )
+        self._init(name, consume, produce)
 
 
-@dataclass(frozen=True)
-class Vas:
+class Vas(_Value):
+    __slots__ = ("places", "transitions")
     places: int
-    transitions: tuple[Transition, ...] = ()
+    transitions: tuple[Transition, ...]
 
-    def __post_init__(self):
-        if self.places < 1:
+    def __init__(self, places: int, transitions: tuple[Transition, ...] = ()):
+        if places < 1:
             raise ValueError("a net needs at least one place")
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-        for t in self.transitions:
-            if len(t.consume) != self.places:
+        transitions = tuple(transitions)
+        for t in transitions:
+            if len(t.consume) != places:
                 raise DimensionMismatch(
                     f"transition {t.name} has dimension {len(t.consume)}, "
-                    f"net has {self.places} places"
+                    f"net has {places} places"
                 )
+        self._init(places, transitions)
 
 
-@dataclass(frozen=True)
-class CoverQuery:
+class CoverQuery(_Value):
+    __slots__ = ("net", "initial", "target")
     net: Vas
     initial: NatVec
     target: NatVec
 
-    def __post_init__(self):
-        for label, v in (("initial", self.initial), ("target", self.target)):
-            if len(v) != self.net.places:
+    def __init__(self, net: Vas, initial: NatVec, target: NatVec):
+        for label, v in (("initial", initial), ("target", target)):
+            if len(v) != net.places:
                 raise DimensionMismatch(
                     f"{label} marking {format_vec(v)} has dimension {len(v)}, "
-                    f"net has {self.net.places} places"
+                    f"net has {net.places} places"
                 )
+        self._init(net, initial, target)
 
 
 class CoverResult(NamedTuple):

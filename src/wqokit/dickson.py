@@ -10,6 +10,48 @@ NatVec = tuple[int, ...]
 IntVec = tuple[int, ...]
 
 
+class _Value:
+    """Immutable record whose fields are the subclass's ``__slots__``.
+
+    A subclass's ``__init__`` validates its arguments and hands the field
+    values to ``_init`` in slot order. The field tuple is kept as well, so
+    equality (same class, equal fields) and hashing (the field tuple's
+    hash) cost one tuple operation. Copying and pickling rebuild the value
+    through ``__init__``; ``match`` takes the fields positionally.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values
+
+
 class DimensionMismatch(ValueError):
     """Raised when two vectors of different dimensions are combined."""
 

@@ -9,24 +9,32 @@ by mapping generators only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable
 
-from .dickson import NatVec
+from .dickson import NatVec, _Value
 from .dickson import leq as dickson_leq
 from .upset import UpSet
 from .words import Alphabet, LabeledWord, Word, labeled_leq, leq_E, leq_e, phi
 
 
-@dataclass(frozen=True)
-class QuasiEmbedding:
+class QuasiEmbedding(_Value):
     """A mapping bundled with its source and target orders."""
 
+    __slots__ = ("name", "source_leq", "target_leq", "mapping")
     name: str
     source_leq: Callable[[Any, Any], bool]
     target_leq: Callable[[Any, Any], bool]
     mapping: Callable[[Any], Any]
+
+    def __init__(
+        self,
+        name: str,
+        source_leq: Callable[[Any, Any], bool],
+        target_leq: Callable[[Any, Any], bool],
+        mapping: Callable[[Any], Any],
+    ):
+        self._init(name, source_leq, target_leq, mapping)
 
     def __call__(self, x):
         return self.mapping(x)

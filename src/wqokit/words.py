@@ -10,32 +10,41 @@ marking each letter occurrence with a first-seen flag (``phi``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .dickson import is_decimal
+from .dickson import _Value, is_decimal
 
 
 class AlphabetMismatch(ValueError):
     """Raised when words over different alphabets are combined."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(_Value):
     """Finite alphabet; letters are the indices 0..size-1 with display names."""
 
+    __slots__ = ("names",)
     names: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        if not self.names:
+    def __init__(self, names: tuple[str, ...]):
+        names = tuple(names)
+        if not names:
             raise ValueError("an alphabet needs at least one letter")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate letter names in {self.names!r}")
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate letter names in {names!r}")
+        self._init(names)
 
     @classmethod
     def from_letters(cls, letters: str) -> "Alphabet":
-        """Alphabet with one single-character name per character of `letters`."""
+        """Alphabet with one single-character name per character of `letters`.
+
+        Letters follow the letter-form rule of parse_word: no whitespace
+        and none of (),[]{}, so every word over the alphabet prints in a
+        form that parses back.
+        """
+        if letters and not _LETTER_FORM.fullmatch(letters):
+            raise ValueError(
+                f"bad alphabet {letters!r}: letters cannot be spaces or any of (),[]{{}}"
+            )
         return cls(tuple(letters))
 
     @classmethod
@@ -68,20 +77,20 @@ def _doubled(alphabet: Alphabet) -> Alphabet:
     return Alphabet(tuple(f"{n}{f}" for n in alphabet.names for f in (0, 1)))
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Value):
     """Finite sequence of letter indices over a fixed alphabet."""
 
+    __slots__ = ("alphabet", "letters")
     alphabet: Alphabet
-    letters: tuple[int, ...] = ()
+    letters: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for l in self.letters:
-            if not 0 <= l < self.alphabet.size:
-                raise ValueError(
-                    f"letter index {l} out of range for alphabet {self.alphabet}"
-                )
+    def __init__(self, alphabet: Alphabet, letters: tuple[int, ...] = ()):
+        letters = tuple(letters)
+        size = alphabet.size
+        for l in letters:
+            if not 0 <= l < size:
+                raise ValueError(f"letter index {l} out of range for alphabet {alphabet}")
+        self._init(alphabet, letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -98,15 +107,15 @@ class Word:
         return "[" + ",".join(str(l) for l in self.letters) + "]"
 
 
-@dataclass(frozen=True)
-class LabeledWord:
+class LabeledWord(_Value):
     """A word over a doubled alphabet paired with a set of base letters."""
 
+    __slots__ = ("word", "support")
     word: Word
     support: frozenset[int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", frozenset(self.support))
+    def __init__(self, word: Word, support: frozenset[int]):
+        self._init(word, frozenset(support))
 
     def __str__(self) -> str:
         sup = ",".join(str(l) for l in sorted(self.support))

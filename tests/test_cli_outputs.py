@@ -8,9 +8,11 @@ and an argparse usage error only has to exit 2, since argparse words its
 messages differently across Python versions.
 """
 
+import random
+
 import pytest
 
-from wqokit.cli import run
+from wqokit.cli import _COMMANDS, _build_parser, run
 
 BLOCKS = {
     "vec": "upset F { (2,2) (1,2) (2,1) }",
@@ -160,6 +162,9 @@ ERR = [
     # checked before a letter argument joins the inferred alphabet
     (["upset", "quotient", "a b", "{let}"],
      "bad word 'a b': a letter-form word has no spaces and none of (),[]{{}}"),
+    # --alphabet letters follow the same rule, so printed words parse back
+    (["upset", "normalize", "{idx_b}", "--alphabet", "a,b"],
+     "bad alphabet 'a,b': letters cannot be spaces or any of (),[]{{}}"),
 ]
 
 
@@ -216,14 +221,17 @@ def test_input_error(capsys, files, argv, message):
     assert call(capsys, files, argv) == (2, "", f"error: {message.format(**files)}\n")
 
 
+MISSING = [
+    ["upset", "normalize", "{missing}"],
+    ["upset", "includes", "{missing}", "{vec}"],
+    ["upset", "includes", "{vec}", "{missing}"],
+    ["seq", "good-pair", "{missing}"],
+    ["cover", "{missing}"],
+]
+
+
 def test_missing_file(capsys, files):
-    for argv in (
-        ["upset", "normalize", "{missing}"],
-        ["upset", "includes", "{missing}", "{vec}"],
-        ["upset", "includes", "{vec}", "{missing}"],
-        ["seq", "good-pair", "{missing}"],
-        ["cover", "{missing}"],
-    ):
+    for argv in MISSING:
         want = f"error: [Errno 2] No such file or directory: '{files['missing']}'\n"
         assert call(capsys, files, argv) == (2, "", want)
 
@@ -240,3 +248,22 @@ def test_dimension_mismatch_names_both_operands(capsys, files, argv):
 @pytest.mark.parametrize("argv", USAGE)
 def test_usage_error(capsys, files, argv):
     assert call(capsys, files, argv)[0] == 2
+
+
+HELP = [[flag] for flag in ("-h", "--help")] + [
+    command.split() + [flag] for command, *_ in _COMMANDS for flag in ("-h", "--help")
+]
+
+
+def test_reused_parser_keeps_no_state(capsys, files):
+    """Every argv above, twice in a shuffled order through the one parser,
+    answers as it does on a parser built just for it."""
+    assert _build_parser() is _build_parser()
+    argvs = (
+        [argv for argv, *_ in OK + ERR] + DIMENSION + USAGE + MISSING + HELP
+    ) * 2
+    random.Random(7).shuffle(argvs)
+    reused = [call(capsys, files, argv) for argv in argvs]
+    for argv, got in zip(argvs, reused):
+        _build_parser.cache_clear()
+        assert call(capsys, files, argv) == got, argv

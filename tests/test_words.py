@@ -39,6 +39,23 @@ def test_alphabet_validation():
         ABC.index("z")
 
 
+@pytest.mark.parametrize("letters", ["a,b", "a b", "ab\n", "\ta", "(a", "b)", "[", "]", "{a}"])
+def test_from_letters_follows_the_letter_form_rule(letters):
+    with pytest.raises(ValueError) as info:
+        Alphabet.from_letters(letters)
+    assert str(info.value) == (
+        f"bad alphabet {letters!r}: letters cannot be spaces or any of (),[]{{}}"
+    )
+
+
+def test_from_letters_keeps_other_characters():
+    assert Alphabet.from_letters("a1-_.").names == ("a", "1", "-", "_", ".")
+    with pytest.raises(ValueError, match="at least one letter"):
+        Alphabet.from_letters("")
+    with pytest.raises(ValueError, match="duplicate"):
+        Alphabet.from_letters("aba")
+
+
 def test_doubled_alphabet_layout():
     d = AB.doubled()
     # letter i with flag f must sit at index 2*i + f
@@ -73,8 +90,8 @@ def test_parse_word_forms():
 
 @pytest.mark.parametrize("text", ["a b", "a\tb", "a,b", "a(b", "ab)", "a]", "{a}", "a[0]"])
 def test_parse_word_refuses_what_letter_form_excludes(text):
-    # even when the alphabet names the character
-    alpha = Alphabet.from_letters("ab \t,()[]{}0")
+    # even when the alphabet names the character (from_letters refuses such names)
+    alpha = Alphabet(tuple("ab \t,()[]{}0"))
     with pytest.raises(ValueError, match="letter-form word"):
         parse_word(text, alpha)
 
