@@ -28,17 +28,21 @@ def _bool_line(value: bool) -> int:
     return 0 if value else 1
 
 
+_MAX_LETTERS = 10**5
+
+
 def _carrier(texts, alphabet_opt, letters=()) -> Alphabet | None:
     """Decide vectors vs words from the pooled element texts.
 
     Returns None for vectors, else the words' alphabet; vectors and words
-    cannot share a command. An explicit --alphabet wins. Otherwise
+    cannot share a command. The --alphabet read by run() wins. Otherwise
     letter-form words, checked against the letter-form grammar of
     words.parse_word, pool their characters (sorted) with the letter
     arguments, and index-form words pool their indices; mixing the two
     forms needs the explicit flag. Index-form letters are named "1".."m",
     so letter arguments do not join them: such a name would read as a
-    letter-form word. "[]" and blank texts carry no information.
+    letter-form word. "[]" and blank texts carry no information. An
+    inferred index alphabet holds at most _MAX_LETTERS letters.
     """
     texts = [t.strip() for t in texts]
     if any(t.startswith("(") for t in texts):
@@ -48,7 +52,7 @@ def _carrier(texts, alphabet_opt, letters=()) -> Alphabet | None:
             raise CliError("letter arguments apply to word upsets only")
         return None
     if alphabet_opt:
-        return Alphabet.from_letters(alphabet_opt)
+        return alphabet_opt
     if not any(t.startswith("[") for t in texts):
         texts += [t.strip() for t in letters]
     informative = [t for t in texts if t not in ("", "[]")]
@@ -69,6 +73,8 @@ def _carrier(texts, alphabet_opt, letters=()) -> Alphabet | None:
         for part in t[1:-1].split(","):
             if dickson.is_decimal(part.strip()):
                 top = max(top, int(part.strip()))
+    if top >= _MAX_LETTERS:
+        raise CliError(f"letter index {top} is over the limit of {_MAX_LETTERS - 1}")
     return Alphabet.indexed(top + 1)
 
 
@@ -201,14 +207,15 @@ def _cmd_embed(ns) -> int:
     hi = int(ns.range)
     # the range is every tuple over range(base) with a length in lengths
     if ns.name == "dickson-to-word":
+        # the embedding refuses a dimension below 1 before anything is built
+        f = transport.dickson_word_embedding(ns.dim)
         if ns.dim > _MAX_PAIRS:
             raise CliError(f"--dim {ns.dim} is over the limit of {_MAX_PAIRS}")
         base, lengths, point = hi + 1, [ns.dim], tuple
-        embedding = partial(transport.dickson_word_embedding, ns.dim)
     elif ns.name == "word-to-labeled":
-        alpha = Alphabet.from_letters(ns.alphabet or "ab")
+        f = transport.labeling_embedding()
+        alpha = ns.alphabet or Alphabet.from_letters("ab")
         base, lengths, point = alpha.size, range(hi + 1), partial(Word, alpha)
-        embedding = transport.labeling_embedding
     else:
         raise CliError(
             f"unknown embedding {ns.name!r}; "
@@ -216,7 +223,6 @@ def _cmd_embed(ns) -> int:
         )
     _check_range_size(base, lengths)
     points = [point(t) for n in lengths for t in product(range(base), repeat=n)]
-    f = embedding()
     ok, witness = transport.check_quasi_embedding(f, product(points, points))
     if ok:
         print("true")
@@ -314,6 +320,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        # --alphabet is read here once, so every verb taking it checks it
+        if getattr(ns, "alphabet", None):
+            ns.alphabet = Alphabet.from_letters(ns.alphabet)
         return ns.handler(ns)
     except (CliError, ValueError, OSError, coverability.SaturationLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)

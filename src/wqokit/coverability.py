@@ -246,8 +246,10 @@ def backward_cover(
     Raises SaturationLimit when max_iterations rounds have added
     something and the saturation has neither covered the initial marking
     nor reached the fixpoint, or when a round ends with more than
-    max_basis generators.
+    max_basis generators; raises ValueError for a negative max_iterations.
     """
+    if max_iterations is not None and max_iterations < 0:
+        raise ValueError("max_iterations must be at least 0")
     steps = [(t.consume, _delta(t)) for t in q.net.transitions]
     basis = _Trie(q.net.places)
     basis.add(q.target)

@@ -24,11 +24,14 @@ class _Value:
 
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__slots__
+        # a slot's own descriptor writes past the refusing __setattr__, and
+        # faster than object.__setattr__, which looks the slot up by name
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _init(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_values", values)
+        for put, value in zip(self._setters, values):
+            put(self, value)
+        _Value._values.__set__(self, values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -95,17 +98,21 @@ def parse_vec(text: str) -> NatVec:
     stripped = text.strip()
     if not (stripped.startswith("(") and stripped.endswith(")")):
         raise ValueError(f"expected a parenthesized vector, got {text!r}")
-    body = stripped[1:-1].strip()
-    if not body:
+    body = stripped[1:-1]
+    if not body.strip():
         raise ValueError("a vector needs at least one component")
-    parts = body.split(",")
-    components = []
-    for part in parts:
+    return _decimals(body, "vector component", text)
+
+
+def _decimals(body: str, what: str, text: str) -> tuple[int, ...]:
+    """The comma-separated decimals of body; `what` names one in the error."""
+    out = []
+    for part in body.split(","):
         item = part.strip()
         if not is_decimal(item):
-            raise ValueError(f"bad vector component {item!r} in {text!r}")
-        components.append(int(item))
-    return tuple(components)
+            raise ValueError(f"bad {what} {item!r} in {text!r}")
+        out.append(int(item))
+    return tuple(out)
 
 
 def format_vec(v: NatVec) -> str:

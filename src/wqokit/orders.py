@@ -103,63 +103,32 @@ def homogeneous_subsequence(
         for j in range(i + 1, n):
             rel[i][j] = classify(seq[i], seq[j], leq)
     for shape in SubseqClass:
-        want = _PAIR_FOR[shape]
-        if want is PairClass.INCOMPARABLE:
-            indices = _smallest_antichain(rel, n, k)
-        else:
-            indices = _smallest_chain(rel, n, k, want)
+        indices = _smallest(rel, n, k, _PAIR_FOR[shape])
         if indices is not None:
             return Homogeneous(indices, shape)
     return None
 
 
-def _smallest_chain(rel, n: int, k: int, want: PairClass) -> tuple[int, ...] | None:
-    # Equal/less/greater are transitive, so consecutive pairs determine all
-    # pairs and a longest-extension table gives an exact completability test.
-    best = [1] * n
+def _smallest(rel, n: int, k: int, want: PairClass) -> tuple[int, ...] | None:
+    # Lexicographic backtracking: a candidate must relate by `want` to every
+    # index already chosen. room[j], the longest run from j whose consecutive
+    # pairs relate by `want`, bounds how many indices can still be chosen
+    # from j on. Equal/less/greater are transitive, so for them every such
+    # run qualifies, the bound is exact and the search never backtracks.
+    room = [1] * n
     for i in range(n - 1, -1, -1):
-        longest = 0
         for j in range(i + 1, n):
-            if rel[i][j] is want and best[j] > longest:
-                longest = best[j]
-        best[i] = 1 + longest
-    for start in range(n):
-        if best[start] < k:
-            continue
-        out = [start]
-        need = k - 1
-        last = start
-        j = start + 1
-        # completability is guaranteed by best[start] >= k; the bound on j
-        # only protects against a leq that is not actually a partial order
-        while need and j < n:
-            if rel[last][j] is want and best[j] >= need:
-                out.append(j)
-                last = j
-                need -= 1
-            j += 1
-        if not need:
-            return tuple(out)
-    return None
-
-
-def _smallest_antichain(rel, n: int, k: int) -> tuple[int, ...] | None:
-    # Incomparability is not transitive: a candidate must be checked against
-    # every chosen index, so this is a backtracking search in lexicographic
-    # order. First complete tuple found is the smallest.
+            if rel[i][j] is want and room[j] >= room[i]:
+                room[i] = room[j] + 1
     chosen: list[int] = []
-
-    def extend(start: int) -> bool:
-        if len(chosen) == k:
-            return True
-        for j in range(start, n):
-            if n - j < k - len(chosen):
-                return False
-            if all(rel[i][j] is PairClass.INCOMPARABLE for i in chosen):
+    j = 0
+    while len(chosen) < k:
+        if j < n:
+            if room[j] >= k - len(chosen) and all(rel[i][j] is want for i in chosen):
                 chosen.append(j)
-                if extend(j + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return tuple(chosen) if extend(0) else None
+            j += 1
+        elif chosen:
+            j = chosen.pop() + 1
+        else:
+            return None
+    return tuple(chosen)

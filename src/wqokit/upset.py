@@ -13,7 +13,7 @@ import math
 import re
 from typing import Any, Callable, Iterable
 
-from .dickson import DimensionMismatch, NatVec, format_vec, join
+from .dickson import DimensionMismatch, NatVec, _Value, format_vec, join
 from .dickson import leq as vec_leq
 from .words import LabeledWord, Word, labeled_leq, leq_e
 
@@ -48,13 +48,13 @@ def _minimal(leq: Callable[[Any, Any], bool], elems: Iterable) -> list:
     return kept
 
 
-class UpSet:
+class UpSet(_Value):
     """Upward closed set over an arbitrary order.
 
     The constructor normalizes: dominated and duplicate generators are
     dropped and the rest sorted, so construction from any generating set
-    yields the canonical representation. Values are immutable by
-    convention and hashable.
+    yields the canonical representation. Like the other value classes it
+    is immutable, and it compares and hashes by the pair (leq, gens).
 
     Normalization needs `leq` to be a partial order under which an
     element strictly below another sorts first by length, then
@@ -64,8 +64,7 @@ class UpSet:
     __slots__ = ("leq", "gens")
 
     def __init__(self, leq: Callable[[Any, Any], bool], gens: Iterable = ()):
-        self.leq = leq
-        self.gens = tuple(_minimal(leq, gens))
+        self._init(leq, tuple(_minimal(leq, gens)))
 
     def member(self, x) -> bool:
         """True iff x lies above some generator."""
@@ -90,16 +89,6 @@ class UpSet:
         if self.leq is not other.leq:
             raise ValueError("cannot combine upsets over different orders")
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, UpSet)
-            and self.leq is other.leq
-            and self.gens == other.gens
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.gens)
-
     def __repr__(self) -> str:
         return "UpSet({%s})" % ", ".join(_show(g) for g in self.gens)
 
@@ -107,8 +96,7 @@ class UpSet:
 def _antichain_upset(leq: Callable[[Any, Any], bool], gens: Iterable) -> UpSet:
     """UpSet of gens that are already an antichain under leq: only sorted."""
     x = UpSet.__new__(UpSet)
-    x.leq = leq
-    x.gens = tuple(sorted(gens, key=_key))
+    x._init(leq, tuple(sorted(gens, key=_key)))
     return x
 
 
@@ -143,16 +131,13 @@ def phi_slice(f: UpSet, a: NatVec) -> ExtendedNat:
     its last component, and the minimum over those is least overall.
     The result is antitone in a.
     """
-    best: ExtendedNat = INF
-    for g in f.gens:
-        if len(g) != len(a) + 1:
-            raise DimensionMismatch(
-                f"slice point {format_vec(a)} needs generators of dimension "
-                f"{len(a) + 1}, got {format_vec(g)}"
-            )
-        if vec_leq(g[:-1], a):
-            best = min(best, g[-1])
-    return best
+    # a vector upset has one dimension, so the first generator speaks for all
+    if f.gens and len(f.gens[0]) != len(a) + 1:
+        raise DimensionMismatch(
+            f"slice point {format_vec(a)} needs generators of dimension "
+            f"{len(a) + 1}, got {format_vec(f.gens[0])}"
+        )
+    return min((g[-1] for g in f.gens if vec_leq(g[:-1], a)), default=INF)
 
 
 def quotient(a: int, x: UpSet) -> UpSet:

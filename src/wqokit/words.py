@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .dickson import _Value, is_decimal
+from .dickson import _Value, _decimals
 
 
 class AlphabetMismatch(ValueError):
@@ -206,13 +206,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     if stripped.startswith("["):
         if not stripped.endswith("]"):
             raise ValueError(f"unterminated index list {text!r}")
-        letters = []
-        for part in stripped[1:-1].split(","):
-            item = part.strip()
-            if not is_decimal(item):
-                raise ValueError(f"bad letter index {item!r} in {text!r}")
-            letters.append(int(item))
-        return Word(alphabet, tuple(letters))
+        return Word(alphabet, _decimals(stripped[1:-1], "letter index", text))
     if not all(len(n) == 1 for n in alphabet.names):
         raise ValueError(
             f"alphabet {alphabet} has multi-character names; "

@@ -1,11 +1,13 @@
 """Inputs the CLI refuses before doing any work: oversized `embed check`
-ranges and `cover --oracle-bound` values the oracle cannot use or whose
-box holds too many reachable markings."""
+ranges, letter indices that would need a huge inferred alphabet, and
+`cover --oracle-bound` values the oracle cannot use or whose box holds
+too many reachable markings."""
 
 import pytest
 
 from wqokit import cli, coverability
 from wqokit.cli import run
+from wqokit.words import Alphabet
 
 NET = """\
 places 2
@@ -70,3 +72,26 @@ def test_embed_check_refuses_oversized_ranges(monkeypatch, capsys, argv, message
 def test_embed_check_within_the_cap(capsys, argv, line):
     assert run(["embed", "check", *argv]) == 0
     assert capsys.readouterr().out == f"true\n  {line}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["order", "leq-e", "[0]", "[99999999]"], "letter index 99999999 is over the limit of 99999"),
+    (["order", "leq-E", "[100000,0]", "[]"], "letter index 100000 is over the limit of 99999"),
+    (["upset", "member", "[0]", "{big}"], "letter index 123456789 is over the limit of 99999"),
+])
+def test_large_letter_index_fails_before_the_alphabet_is_built(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    def no_alphabet(size):
+        pytest.fail("the alphabet was built")
+
+    monkeypatch.setattr(Alphabet, "indexed", no_alphabet)
+    big = tmp_path / "big.up"
+    big.write_text("upset { [0,123456789] }")
+    assert run([a.format(big=big) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_largest_letter_index_within_the_limit(capsys):
+    assert run(["order", "leq-e", "[99999]", "[0,99999]"]) == 0
+    assert capsys.readouterr() == ("true\n", "")

@@ -12,7 +12,9 @@ import random
 
 import pytest
 
+from wqokit import coverability, transport
 from wqokit.cli import _COMMANDS, _build_parser, run
+from wqokit.words import Alphabet, Word
 
 BLOCKS = {
     "vec": "upset F { (2,2) (1,2) (2,1) }",
@@ -34,6 +36,8 @@ BLOCKS = {
     "seq_empty": "# nothing here\n\n",
     "seq_mixed": "(1,0)\nab\n",
     "bad_net": "places 1\ninitial (x)\ntarget (0)\n",
+    "seq_vec": "(1,0)\n(0,1)\n",
+    "net": "places 1\ntransition t consume (1) produce (0)\ninitial (0)\ntarget (1)\n",
 }
 
 
@@ -165,6 +169,20 @@ ERR = [
     # --alphabet letters follow the same rule, so printed words parse back
     (["upset", "normalize", "{idx_b}", "--alphabet", "a,b"],
      "bad alphabet 'a,b': letters cannot be spaces or any of (),[]{{}}"),
+    # an inferred index alphabet is refused before it is built
+    (["order", "leq-e", "[0]", "[99999999]"], "letter index 99999999 is over the limit of 99999"),
+    # --alphabet is checked on every verb that takes it, vectors included
+    (["upset", "member", "(9,9)", "{vec}", "--alphabet", "a,b"],
+     "bad alphabet 'a,b': letters cannot be spaces or any of (),[]{{}}"),
+    (["order", "dickson", "(1)", "(2)", "--alphabet", "a b"],
+     "bad alphabet 'a b': letters cannot be spaces or any of (),[]{{}}"),
+    (["seq", "good-pair", "{seq_vec}", "--alphabet", "a,b"],
+     "bad alphabet 'a,b': letters cannot be spaces or any of (),[]{{}}"),
+    (["embed", "check", "dickson-to-word", "1", "--alphabet", "a,b"],
+     "bad alphabet 'a,b': letters cannot be spaces or any of (),[]{{}}"),
+    # negative option values
+    (["embed", "check", "dickson-to-word", "3", "--dim", "-1"], "dimension must be at least 1"),
+    (["cover", "{net}", "--max-iterations", "-5"], "max_iterations must be at least 0"),
 ]
 
 
@@ -267,3 +285,21 @@ def test_reused_parser_keeps_no_state(capsys, files):
     for argv, got in zip(argvs, reused):
         _build_parser.cache_clear()
         assert call(capsys, files, argv) == got, argv
+
+
+def test_embed_check_prints_a_counterexample(capsys, monkeypatch):
+    # every vector maps to the empty word, so no order is reflected
+    monkeypatch.setattr(transport, "dickson_to_word", lambda v: Word(Alphabet(("1",))))
+    assert run(["embed", "check", "dickson-to-word", "1", "--dim", "2"]) == 1
+    assert capsys.readouterr() == ("false\n  counterexample: (0,1), (0,0)\n", "")
+
+
+def test_cover_reports_an_oracle_disagreement(capsys, files, monkeypatch):
+    # the net cannot leave (0); an oracle claiming otherwise is reported
+    monkeypatch.setattr(coverability, "forward_cover_oracle", lambda query, bound: True)
+    assert call(capsys, files, ["cover", "{net}", "--oracle-bound", "(3)"]) == (
+        2,
+        "coverable: false\niterations: 0\nupset basis {\n  (1)\n}\noracle: true\n",
+        "error: forward oracle covers the target but the backward analysis "
+        "says unreachable\n",
+    )

@@ -132,6 +132,12 @@ def test_backward_cover_iteration_cap():
     assert backward_cover(q).coverable
     with pytest.raises(SaturationLimit, match="no fixpoint within 2 rounds"):
         backward_cover(q, max_iterations=2)
+    # a cap of 0 still answers when the target already covers the start
+    assert backward_cover(CoverQuery(q.net, (5,), (5,)), max_iterations=0).coverable
+    with pytest.raises(ValueError) as err:
+        backward_cover(q, max_iterations=-5)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "max_iterations must be at least 0"
 
 
 def chain(n: int, initial: NatVec, last: int) -> CoverQuery:

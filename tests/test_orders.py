@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,11 +7,13 @@ from wqokit import (
     Alphabet,
     PairClass,
     SubseqClass,
+    Word,
     classify,
     find_good_pair,
     homogeneous_subsequence,
     is_bad,
     leq,
+    leq_E,
     leq_e,
     parse_word,
 )
@@ -18,6 +21,7 @@ from wqokit import (
 from oracles import first_good_pair, pair_tag, smallest_homogeneous
 
 INT_LE = lambda x, y: x <= y  # noqa: E731
+AB = Alphabet(("a", "b"))
 
 TAG_TO_SHAPE = {
     "eq": SubseqClass.CONSTANT,
@@ -126,12 +130,19 @@ def test_homogeneous_matches_exhaustive_search():
     for _ in range(1500):
         n = rng.randint(0, 9)
         k = rng.randint(1, 4)
-        if rng.random() < 0.5:
+        kind = rng.randrange(4)
+        if kind == 0:
             seq = [rng.randint(0, 5) for _ in range(n)]
             lq = INT_LE
-        else:
+        elif kind == 1:
             seq = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n)]
             lq = leq
+        else:
+            seq = [
+                Word(AB, tuple(rng.randrange(2) for _ in range(rng.randint(0, 4))))
+                for _ in range(n)
+            ]
+            lq = leq_e if kind == 2 else leq_E
         want = smallest_homogeneous(seq, k, lq)
         got = homogeneous_subsequence(seq, k, lq)
         if want is None:
@@ -140,6 +151,16 @@ def test_homogeneous_matches_exhaustive_search():
             assert got is not None
             assert got.indices == want[0]
             assert got.shape is TAG_TO_SHAPE[want[1]]
+
+
+def test_homogeneous_long_chain_needs_no_backtracking():
+    # an inexact bound on the remaining room would backtrack exponentially
+    start = time.perf_counter()
+    got = homogeneous_subsequence(list(range(200)), 150, INT_LE)
+    assert got == (tuple(range(150)), SubseqClass.ASCENDING)
+    # 1,0,3,2,...: 2**16 ascending runs of length 16 and none of length 17
+    assert homogeneous_subsequence([i ^ 1 for i in range(32)], 17, INT_LE) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_homogeneous_witness_is_uniform():

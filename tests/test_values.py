@@ -1,8 +1,9 @@
 """The contract of the immutable value classes.
 
-Alphabet, Word, LabeledWord, Transition, Vas, CoverQuery and
-QuasiEmbedding compare, hash, print, copy, pickle and match by their
-fields, refuse assignment and deletion, and validate on construction.
+Alphabet, Word, LabeledWord, Transition, Vas, CoverQuery,
+QuasiEmbedding and UpSet compare, hash, print, copy, pickle and match by
+their fields, refuse assignment and deletion, and validate on
+construction.
 """
 
 import copy
@@ -22,10 +23,13 @@ from wqokit import (
     LabeledWord,
     QuasiEmbedding,
     Transition,
+    UpSet,
     Vas,
     Word,
+    dickson_upset,
     labeled_leq,
     labeling_embedding,
+    leq,
     leq_E,
     word_to_labeled,
 )
@@ -37,6 +41,7 @@ T = Transition("t", (1, 0), (0, 1))
 NET = Vas(2, (T,))
 QUERY = CoverQuery(NET, (1, 0), (0, 1))
 EMBED = labeling_embedding()
+UPSET = dickson_upset([(2, 1), (3, 3), (1, 2)])
 
 # each value with its field tuple, in declaration order
 VALUES = [
@@ -47,6 +52,7 @@ VALUES = [
     (NET, (2, (T,))),
     (QUERY, (NET, (1, 0), (0, 1))),
     (EMBED, ("word-to-labeled", leq_E, labeled_leq, word_to_labeled)),
+    (UPSET, (leq, ((1, 2), (2, 1)))),
 ]
 IDS = [type(v).__name__ for v, _ in VALUES]
 
@@ -68,6 +74,8 @@ def test_repr():
         f"QuasiEmbedding(name='word-to-labeled', source_leq={leq_E!r}, "
         f"target_leq={labeled_leq!r}, mapping={word_to_labeled!r})"
     )
+    assert repr(UPSET) == "UpSet({(1,2), (2,1)})"
+    assert repr(UpSet(leq_E, [WORD])) == "UpSet({aba})"
 
 
 @pytest.mark.parametrize("value,fields", VALUES, ids=IDS)
@@ -115,6 +123,8 @@ def test_keyword_construction_and_defaults():
         name="word-to-labeled", source_leq=leq_E,
         target_leq=labeled_leq, mapping=word_to_labeled,
     ) == EMBED
+    assert UpSet(leq=leq, gens=[(1, 2), (2, 1)]) == UPSET
+    assert UpSet(leq) == UpSet(leq, ())
 
 
 def test_construction_normalizes_sequences():
@@ -150,6 +160,11 @@ def test_positional_match():
             assert (letters, support) == ((0, 2), {0, 1})
         case _:
             pytest.fail("LabeledWord did not match positionally")
+    match UPSET:
+        case UpSet(order, (first, *rest)):
+            assert (order, first, rest) == (leq, (1, 2), [(2, 1)])
+        case _:
+            pytest.fail("UpSet did not match positionally")
     assert [type(v).__match_args__ for v, _ in VALUES] == [
         ("names",),
         ("alphabet", "letters"),
@@ -158,6 +173,7 @@ def test_positional_match():
         ("places", "transitions"),
         ("net", "initial", "target"),
         ("name", "source_leq", "target_leq", "mapping"),
+        ("leq", "gens"),
     ]
 
 
