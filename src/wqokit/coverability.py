@@ -18,15 +18,15 @@ some generator lies below it; otherwise it evicts the generators above
 it. Every round yields the same upward closed set as renormalizing the
 whole basis would, so verdicts, round counts and bases are unchanged.
 
-The antichain is a coordinate trie (the covering sharing trees of
-Delzanno, Raskin and Van Begin, 2004, with shared prefixes only): nested
-dicts with one level per place, each root-to-leaf path one generator.
-b <= c holds iff b[i] <= c[i] at every level, so the search for a
-generator below c enters only the children keyed <= c[i], and eviction
-enters only those keyed >= c[i]; a whole subtrie is skipped on one
-comparison of its key. Eviction deletes the nodes it empties and returns
-how many generators it removed, so the basis size is a running count,
-and whether a generator is still in the basis is one path lookup. The
+The antichain is a set of generators, indexed by a coordinate trie (the
+covering sharing trees of Delzanno, Raskin and Van Begin, 2004, with
+shared prefixes only): nested dicts with one level per place, each
+root-to-leaf path one generator. b <= c holds iff b[i] <= c[i] at every
+level, so the search for a generator below c enters only the children
+keyed <= c[i], and eviction enters only those keyed >= c[i]; a whole
+subtrie is skipped on one comparison of its key. Eviction deletes the
+nodes it empties and removes their generators from the set, which stays
+the one record of the basis: its size, its members and the result. The
 limit is the basis itself: it can grow doubly exponentially in the net
 (Rackoff 1978), and every candidate still meets the generators it
 cannot rule out by a key.
@@ -35,7 +35,7 @@ cannot rule out by a key.
 from __future__ import annotations
 
 import re
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple
 
 from .dickson import DimensionMismatch, IntVec, NatVec, _require_same_dim, _Value
@@ -140,56 +140,29 @@ def _pre(g: NatVec, consume: NatVec, delta: IntVec) -> NatVec:
 
 def pre_step(x: UpSet, t: Transition) -> UpSet:
     """Minimal markings from which firing t lands in x."""
-    for g in x.gens:
-        _require_same_dim(g, t.consume)
+    # a vector upset has one dimension, so the first generator speaks for all
+    if x.gens:
+        _require_same_dim(x.gens[0], t.consume)
     delta = _delta(t)
     return dickson_upset(_pre(g, t.consume, delta) for g in x.gens)
 
 
-class _Trie:
-    """Antichain of vectors of one dimension, as a coordinate trie.
+def _add(root: dict, c: NatVec, last: int, basis: set) -> bool:
+    """Add c to basis unless a generator lies below it; evict those above it.
 
-    Nested dicts, one level per coordinate: the root maps c[0] to a node
-    for the vectors starting with c[0], and so on; the last level maps
-    c[-1] to the vector c itself. Every root-to-leaf path is one element,
-    and no node is empty. size counts the elements.
+    root is the coordinate trie of basis: nested dicts, one level per
+    place, each root-to-leaf path one generator, the last level mapping
+    c[-1] to c itself, and no node empty. Returns whether c was added.
     """
-
-    __slots__ = ("root", "last", "size")
-
-    def __init__(self, dim: int):
-        self.root: dict = {}
-        self.last = dim - 1
-        self.size = 0
-
-    def add(self, c: NatVec) -> bool:
-        """Add c unless an element lies below it; evict the elements above it.
-
-        Returns whether c was added.
-        """
-        if _has_below(self.root, c, 0, self.last):
-            return False
-        self.size -= _evict_above(self.root, c, 0, self.last)
-        node = self.root
-        for x in c[:-1]:
-            node = node.setdefault(x, {})
-        node[c[-1]] = c
-        self.size += 1
-        return True
-
-    def __contains__(self, c: NatVec) -> bool:
-        node = self.root
-        for x in c:
-            node = node.get(x)
-            if node is None:
-                return False
-        return True
-
-    def __iter__(self):
-        nodes = [self.root]
-        for _ in range(self.last):
-            nodes = [child for node in nodes for child in node.values()]
-        return (c for node in nodes for c in node.values())
+    if _has_below(root, c, 0, last):
+        return False
+    _evict_above(root, c, 0, last, basis)
+    node = root
+    for x in c[:-1]:
+        node = node.setdefault(x, {})
+    node[c[-1]] = c
+    basis.add(c)
+    return True
 
 
 def _has_below(node: dict, c: NatVec, i: int, last: int) -> bool:
@@ -209,24 +182,21 @@ def _has_below(node: dict, c: NatVec, i: int, last: int) -> bool:
     return False
 
 
-def _evict_above(node: dict, c: NatVec, i: int, last: int) -> int:
-    """Delete the paths under node, at depth i, that are >= c[i:].
+def _evict_above(node: dict, c: NatVec, i: int, last: int, basis: set) -> None:
+    """Delete the paths under node, at depth i, that are >= c[i:], from basis too.
 
     Only keys >= c[i] can start such a path. Nodes left empty are
-    deleted too. Returns the number of paths deleted.
+    deleted too.
     """
     ci = c[i]
-    removed = 0
     for k in [k for k in node if k >= ci]:
         if i == last:
-            del node[k]
-            removed += 1
+            basis.remove(node.pop(k))
             continue
         child = node[k]
-        removed += _evict_above(child, c, i + 1, last)
+        _evict_above(child, c, i + 1, last, basis)
         if not child:
             del node[k]
-    return removed
 
 
 def backward_cover(
@@ -251,8 +221,10 @@ def backward_cover(
     if max_iterations is not None and max_iterations < 0:
         raise ValueError("max_iterations must be at least 0")
     steps = [(t.consume, _delta(t)) for t in q.net.transitions]
-    basis = _Trie(q.net.places)
-    basis.add(q.target)
+    root: dict = {}
+    last = q.net.places - 1
+    basis: set = set()
+    _add(root, q.target, last, basis)
     frontier = [q.target]
     iterations = 0
     while True:
@@ -263,17 +235,17 @@ def backward_cover(
         if max_iterations is not None and iterations >= max_iterations:
             raise SaturationLimit(
                 f"no fixpoint within {max_iterations} rounds; "
-                f"the basis has {basis.size} generators"
+                f"the basis has {len(basis)} generators"
             )
         added = []
         for g in frontier:
             for consume, delta in steps:
                 c = _pre(g, consume, delta)
-                if basis.add(c):
+                if _add(root, c, last, basis):
                     added.append(c)
-        if basis.size > max_basis:
+        if len(basis) > max_basis:
             raise SaturationLimit(
-                f"basis reached {basis.size} generators in round {iterations + 1}, "
+                f"basis reached {len(basis)} generators in round {iterations + 1}, "
                 f"over the limit of {max_basis}"
             )
         if not added:
@@ -298,6 +270,7 @@ def forward_cover_oracle(q: CoverQuery, bound: NatVec) -> bool:
             f"initial marking {format_vec(q.initial)} exceeds "
             f"oracle bound {format_vec(bound)}"
         )
+    steps = [(t.consume, _delta(t)) for t in q.net.transitions]
     seen = {q.initial}
     frontier = [q.initial]
     while frontier:
@@ -305,12 +278,10 @@ def forward_cover_oracle(q: CoverQuery, bound: NatVec) -> bool:
         for m in frontier:
             if vec_leq(q.target, m):
                 return True
-            for t in q.net.transitions:
-                if not vec_leq(t.consume, m):
+            for consume, delta in steps:
+                if not vec_leq(consume, m):
                     continue
-                succ = tuple(
-                    v - c + p for v, c, p in zip(m, t.consume, t.produce)
-                )
+                succ = tuple(map(add, m, delta))
                 if vec_leq(succ, bound) and succ not in seen:
                     seen.add(succ)
                     fresh.append(succ)

@@ -67,12 +67,16 @@ def _require_same_dim(a, b) -> None:
         )
 
 
+# the longest decimal read: Python 3.11's int() limit, kept on 3.10 too
+_MAX_DIGITS = 4300
+
+
 def is_decimal(s: str) -> bool:
-    """True iff s is a non-empty run of the ASCII digits 0-9.
+    """True iff s is a run of 1 to _MAX_DIGITS of the ASCII digits 0-9.
 
     str.isdigit alone also accepts other scripts' digits and superscripts.
     """
-    return s.isascii() and s.isdigit()
+    return len(s) <= _MAX_DIGITS and s.isascii() and s.isdigit()
 
 
 def leq(a: NatVec, b: NatVec) -> bool:
@@ -110,6 +114,11 @@ def _decimals(body: str, what: str, text: str) -> tuple[int, ...]:
     for part in body.split(","):
         item = part.strip()
         if not is_decimal(item):
+            if len(item) > _MAX_DIGITS:
+                raise ValueError(
+                    f"{what} of {len(item)} characters is over the limit of "
+                    f"{_MAX_DIGITS} digits"
+                )
             raise ValueError(f"bad {what} {item!r} in {text!r}")
         out.append(int(item))
     return tuple(out)

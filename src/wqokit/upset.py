@@ -157,7 +157,7 @@ def som(x: UpSet) -> frozenset[int]:
 
 
 _BLOCK_RE = re.compile(r"^\s*upset(?:\s+(\w+))?\s*\{(.*)\}\s*$", re.DOTALL)
-_TOKEN_RE = re.compile(r"\([^()]*\)|[^\s{}()]+")
+_TOKEN_RE = re.compile(r"\([^()]*\)|\[[^\[\]]*\]|[^\s{}()]+")
 
 
 def parse_upset_block(text: str) -> tuple[str | None, list[str]]:

@@ -16,6 +16,10 @@ from wqokit import coverability, transport
 from wqokit.cli import _COMMANDS, _build_parser, run
 from wqokit.words import Alphabet, Word
 
+# one digit past the longest decimal read (dickson._MAX_DIGITS), and the longest
+NINES = "9" * 4301
+MOST = "9" * 4300
+
 BLOCKS = {
     "vec": "upset F { (2,2) (1,2) (2,1) }",
     "vec_b": "upset {\n  (1,0) (0,3)\n  (1,0)\n}",
@@ -38,6 +42,11 @@ BLOCKS = {
     "bad_net": "places 1\ninitial (x)\ntarget (0)\n",
     "seq_vec": "(1,0)\n(0,1)\n",
     "net": "places 1\ntransition t consume (1) produce (0)\ninitial (0)\ntarget (1)\n",
+    "idx_sp": "upset { [0, 1] [ 2 ] }",
+    "idx_adj": "upset { [0,1][1] }",
+    "idx_open": "upset { [0,1 }",
+    "idx_long": f"upset {{ [{NINES}] }}",
+    "net_long": f"places {NINES}\ninitial (0)\ntarget (0)\n",
 }
 
 
@@ -104,6 +113,12 @@ OK = [
     (["upset", "phi-slice", "{vec}", "(0)"], 0, "inf\n"),
     (["upset", "phi-slice", "{vec_b}", "(5)"], 0, "0\n"),
     (["upset", "phi-slice", "{empty}", "(5)"], 0, "inf\n"),
+    # an index list is one word, spaces and all; adjacent lists are two words
+    (["upset", "normalize", "{idx_sp}"], 0, up("3", "12")),
+    (["upset", "normalize", "{idx_sp}", "--alphabet", "abc"], 0, up("c", "ab")),
+    (["upset", "normalize", "{idx_adj}"], 0, up("2")),
+    # the longest decimal is read
+    (["order", "dickson", "(1)", f"({MOST})"], 0, "true\n"),
 ]
 
 
@@ -183,6 +198,19 @@ ERR = [
     # negative option values
     (["embed", "check", "dickson-to-word", "3", "--dim", "-1"], "dimension must be at least 1"),
     (["cover", "{net}", "--max-iterations", "-5"], "max_iterations must be at least 0"),
+    # an index list is one word, spaces and all; an unterminated one still fails
+    (["upset", "normalize", "{idx_sp}", "--alphabet", "ab"],
+     "letter index 2 out of range for alphabet ab"),
+    (["upset", "normalize", "{idx_open}"], "unterminated index list '[0,1'"),
+    # a decimal over dickson._MAX_DIGITS digits is refused on every interpreter
+    (["order", "dickson", "(1)", f"({NINES})"],
+     "vector component of 4301 characters is over the limit of 4300 digits"),
+    (["order", "leq-e", "[0]", f"[{NINES}]"],
+     "letter index of 4301 characters is over the limit of 4300 digits"),
+    (["upset", "normalize", "{idx_long}"],
+     "letter index of 4301 characters is over the limit of 4300 digits"),
+    (["cover", "{net_long}"], "line 1, column 1: expected: places <count>"),
+    (["embed", "check", "dickson-to-word", NINES], f"range must be a number, got '{NINES}'"),
 ]
 
 

@@ -53,6 +53,17 @@ def test_construction_validates_dimensions():
         pre_step(dickson_upset([(0, 2, 0)]), WORKED.net.transitions[0])
 
 
+def test_a_vector_upset_has_one_dimension():
+    # pre_step checks only its first generator against the transition
+    with pytest.raises(DimensionMismatch):
+        dickson_upset([(1,), (1, 2)])
+    with pytest.raises(DimensionMismatch) as err:
+        pre_step(dickson_upset([(0, 2, 0), (1, 1, 1)]), WORKED.net.transitions[0])
+    assert str(err.value) == (
+        "dimension mismatch: (0,2,0) is 3-dimensional, (1,0) is 2-dimensional"
+    )
+
+
 def test_pre_step_examples():
     t = WORKED.net.transitions[0]
     assert pre_step(dickson_upset([(0, 2)]), t).gens == ((1, 1),)
@@ -284,15 +295,16 @@ def trie_paths(node: dict, depth: int, last: int, prefix=()):
 @given(vector_runs())
 def test_trie_keeps_the_minimal_elements(run):
     m, vecs = run
-    trie = coverability._Trie(m)
+    root: dict = {}
+    basis: set = set()
     for k, c in enumerate(vecs):
-        kept = list(trie)
-        assert trie.add(c) == (not any(leq(b, c) for b in kept))
+        kept = set(basis)
+        added = coverability._add(root, c, m - 1, basis)
+        assert added == (not any(leq(b, c) for b in kept))
         want = minimal_elements(vecs[: k + 1], leq)
-        paths = list(trie_paths(trie.root, 0, m - 1))
-        assert len(paths) == len(want) == trie.size
-        assert set(paths) == set(trie) == want
-        assert all((c in trie) == (c in want) for c in vecs)
+        paths = list(trie_paths(root, 0, m - 1))
+        assert len(paths) == len(want) == len(basis)
+        assert set(paths) == basis == want
 
 
 def test_forward_oracle_examples():
