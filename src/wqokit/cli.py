@@ -5,6 +5,12 @@ Verbs: `order` (pairwise checks), `seq` (good-pair search), `upset`
 ranges), `cover` (backward coverability on a net file). Boolean verbs
 print true/false and exit 0/1; usage and input errors exit 2. Output is
 canonical, so piping a printed block back in reproduces the value.
+
+A `_cmd_*` handler returns (exit code, stdout text) and writes nothing to
+stdout; run() prints the text after the handler returns. So a verb prints
+its whole answer or nothing, and an input error exits 2 with empty stdout.
+The one exception is a `cover --oracle-bound` disagreement: it exits 2
+with the answer on stdout and the error on stderr.
 """
 
 from __future__ import annotations
@@ -23,9 +29,8 @@ class CliError(Exception):
     """Usage-level failure; reported on stderr with exit status 2."""
 
 
-def _bool_line(value: bool) -> int:
-    print("true" if value else "false")
-    return 0 if value else 1
+def _bool(value: bool) -> tuple[int, str]:
+    return (0, "true") if value else (1, "false")
 
 
 _MAX_LETTERS = 10**5
@@ -103,21 +108,21 @@ def _upsets(ns, *paths, extra=(), letters=(), only=None):
 # ---------------------------------------------------------------- verbs
 
 
-def _cmd_order(ns) -> int:
+def _cmd_order(ns) -> tuple[int, str]:
     if ns.relation == "dickson":
         a = dickson.parse_vec(ns.left)
         b = dickson.parse_vec(ns.right)
-        return _bool_line(dickson.leq(a, b))
+        return _bool(dickson.leq(a, b))
     alpha = _carrier([ns.left, ns.right], ns.alphabet)
     if alpha is None:
         raise CliError(f"{ns.relation} compares words, not vectors")
     u = words.parse_word(ns.left, alpha)
     v = words.parse_word(ns.right, alpha)
     rel = words.leq_e if ns.relation == "leq-e" else words.leq_E
-    return _bool_line(rel(u, v))
+    return _bool(rel(u, v))
 
 
-def _cmd_seq(ns) -> int:
+def _cmd_seq(ns) -> tuple[int, str]:
     lines = Path(ns.file).read_text().splitlines()
     texts = [ln.split("#", 1)[0].strip() for ln in lines]
     texts = [t for t in texts if t]
@@ -128,58 +133,49 @@ def _cmd_seq(ns) -> int:
     leq = dickson.leq if alpha is None else words.leq_e
     pair = orders.find_good_pair(seq, leq)
     if pair is None:
-        print("bad")
-        return 1
+        return 1, "bad"
     i, j = pair
-    print(f"good pair: {i} {j}")
-    print(f"  {upset._show(seq[i])} <= {upset._show(seq[j])}")
-    return 0
+    return 0, f"good pair: {i} {j}\n  {upset._show(seq[i])} <= {upset._show(seq[j])}"
 
 
-def _cmd_normalize(ns) -> int:
-    print(upset.format_upset_block(_upsets(ns, ns.file)[1][0]))
-    return 0
+def _cmd_normalize(ns) -> tuple[int, str]:
+    return 0, upset.format_upset_block(_upsets(ns, ns.file)[1][0])
 
 
-def _cmd_member(ns) -> int:
+def _cmd_member(ns) -> tuple[int, str]:
     alpha, (x,) = _upsets(ns, ns.file, extra=[ns.element])
-    return _bool_line(x.member(_parse_elem(alpha, ns.element)))
+    return _bool(x.member(_parse_elem(alpha, ns.element)))
 
 
-def _cmd_includes(ns) -> int:
+def _cmd_includes(ns) -> tuple[int, str]:
     x, y = _upsets(ns, ns.big, ns.small)[1]
-    return _bool_line(x.includes(y))
+    return _bool(x.includes(y))
 
 
-def _cmd_union(ns) -> int:
+def _cmd_union(ns) -> tuple[int, str]:
     x, y = _upsets(ns, ns.left, ns.right)[1]
-    print(upset.format_upset_block(x.union(y)))
-    return 0
+    return 0, upset.format_upset_block(x.union(y))
 
 
-def _cmd_intersect(ns) -> int:
+def _cmd_intersect(ns) -> tuple[int, str]:
     x, y = _upsets(ns, ns.left, ns.right, only="vector")[1]
-    print(upset.format_upset_block(upset.intersect_dickson(x, y)))
-    return 0
+    return 0, upset.format_upset_block(upset.intersect_dickson(x, y))
 
 
-def _cmd_quotient(ns) -> int:
+def _cmd_quotient(ns) -> tuple[int, str]:
     alpha, (x,) = _upsets(ns, ns.file, letters=[ns.letter])
-    print(upset.format_upset_block(upset.quotient(alpha.index(ns.letter), x)))
-    return 0
+    return 0, upset.format_upset_block(upset.quotient(alpha.index(ns.letter), x))
 
 
-def _cmd_som(ns) -> int:
+def _cmd_som(ns) -> tuple[int, str]:
     alpha, (x,) = _upsets(ns, ns.file, only="word")
-    print("{" + ",".join(alpha.names[l] for l in sorted(upset.som(x))) + "}")
-    return 0
+    return 0, "{" + ",".join(alpha.names[l] for l in sorted(upset.som(x))) + "}"
 
 
-def _cmd_phi_slice(ns) -> int:
+def _cmd_phi_slice(ns) -> tuple[int, str]:
     (f,) = _upsets(ns, ns.file, extra=[ns.point], only="vector")[1]
     value = upset.phi_slice(f, dickson.parse_vec(ns.point))
-    print("inf" if value == upset.INF else str(int(value)))
-    return 0
+    return 0, "inf" if value == upset.INF else str(int(value))
 
 
 _MAX_PAIRS = 10**6
@@ -201,7 +197,7 @@ def _check_range_size(base: int, lengths) -> None:
             )
 
 
-def _cmd_embed(ns) -> int:
+def _cmd_embed(ns) -> tuple[int, str]:
     if not dickson.is_decimal(ns.range):
         raise CliError(f"range must be a number, got {ns.range!r}")
     hi = int(ns.range)
@@ -225,40 +221,36 @@ def _cmd_embed(ns) -> int:
     points = [point(t) for n in lengths for t in product(range(base), repeat=n)]
     ok, witness = transport.check_quasi_embedding(f, product(points, points))
     if ok:
-        print("true")
-        print(f"  {f.name}: order reflected on {len(points) ** 2} pairs")
-        return 0
+        return 0, f"true\n  {f.name}: order reflected on {len(points) ** 2} pairs"
     a1, a2 = witness
-    print("false")
-    print(f"  counterexample: {upset._show(a1)}, {upset._show(a2)}")
-    return 1
+    return 1, f"false\n  counterexample: {upset._show(a1)}, {upset._show(a2)}"
 
 
-def _cmd_cover(ns) -> int:
+def _cmd_cover(ns) -> tuple[int, str]:
     query = coverability.parse_net(Path(ns.netfile).read_text())
-    # a bad bound must fail before any of the answer is printed
+    # the oracle runs first, so a bad bound fails before a long saturation
+    # and its error wins over SaturationLimit
     oracle = None
     if ns.oracle_bound is not None:
         bound = dickson.parse_vec(ns.oracle_bound)
         oracle = coverability.forward_cover_oracle(query, bound)
     result = coverability.backward_cover(query, max_iterations=ns.max_iterations)
-    print(f"coverable: {'true' if result.coverable else 'false'}")
-    print(f"iterations: {result.iterations}")
-    print(upset.format_upset_block(result.basis, "basis"))
-    if oracle is not None:
-        if oracle and not result.coverable:
-            print("oracle: true")
-            print(
-                "error: forward oracle covers the target but the backward "
-                "analysis says unreachable",
-                file=sys.stderr,
-            )
-            return 2
-        if not oracle and result.coverable:
-            print(f"oracle: false (inconclusive under bound {ns.oracle_bound})")
-        else:
-            print(f"oracle: {'true' if oracle else 'false'}")
-    return 0 if result.coverable else 1
+    code, verdict = _bool(result.coverable)
+    out = f"coverable: {verdict}\niterations: {result.iterations}\n"
+    out += upset.format_upset_block(result.basis, "basis")
+    if oracle is None:
+        return code, out
+    if oracle and not result.coverable:
+        print(
+            "error: forward oracle covers the target but the backward "
+            "analysis says unreachable",
+            file=sys.stderr,
+        )
+        return 2, out + "\noracle: true"
+    if not oracle and result.coverable:
+        return code, out + f"\noracle: false (inconclusive under bound {ns.oracle_bound})"
+    # here the oracle agrees with the verdict
+    return code, out + f"\noracle: {verdict}"
 
 
 # ---------------------------------------------------------------- parser
@@ -323,7 +315,9 @@ def run(argv=None) -> int:
         # --alphabet is read here once, so every verb taking it checks it
         if getattr(ns, "alphabet", None):
             ns.alphabet = Alphabet.from_letters(ns.alphabet)
-        return ns.handler(ns)
+        code, out = ns.handler(ns)
+        print(out)
+        return code
     except (CliError, ValueError, OSError, coverability.SaturationLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

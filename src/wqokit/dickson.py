@@ -69,6 +69,9 @@ def _require_same_dim(a, b) -> None:
 
 # the longest decimal read: Python 3.11's int() limit, kept on 3.10 too
 _MAX_DIGITS = 4300
+# the least natural with more digits; format_vec refuses it, so whatever
+# is printed reads back
+_TOO_LONG = 10**_MAX_DIGITS
 
 
 def is_decimal(s: str) -> bool:
@@ -125,4 +128,9 @@ def _decimals(body: str, what: str, text: str) -> tuple[int, ...]:
 
 
 def format_vec(v: NatVec) -> str:
+    for x in v:
+        if x >= _TOO_LONG:
+            raise ValueError(
+                f"cannot print a vector component over the limit of {_MAX_DIGITS} digits"
+            )
     return "(" + ",".join(str(x) for x in v) + ")"

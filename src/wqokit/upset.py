@@ -157,19 +157,26 @@ def som(x: UpSet) -> frozenset[int]:
 
 
 _BLOCK_RE = re.compile(r"^\s*upset(?:\s+(\w+))?\s*\{(.*)\}\s*$", re.DOTALL)
-_TOKEN_RE = re.compile(r"\([^()]*\)|\[[^\[\]]*\]|[^\s{}()]+")
+# the last alternative takes a delimiter no other one does, to refuse it
+_TOKEN_RE = re.compile(r"\([^()]*\)|\[[^\[\]]*\]|[^\s{}()]+|[{}()]")
+_STRAY = frozenset("{}()")
 
 
 def parse_upset_block(text: str) -> tuple[str | None, list[str]]:
     """Split an `upset name { ... }` block into its name and raw generators.
 
     Generators may sit one per line or share lines; interpretation of the
-    tokens (vectors vs words) is up to the caller.
+    tokens (vectors vs words) is up to the caller. A brace or parenthesis
+    outside a vector is refused.
     """
     m = _BLOCK_RE.match(text)
     if m is None:
         raise ValueError("expected a block of the form 'upset name { ... }'")
-    return m.group(1), _TOKEN_RE.findall(m.group(2))
+    tokens = _TOKEN_RE.findall(m.group(2))
+    for t in tokens:
+        if t in _STRAY:
+            raise ValueError(f"unexpected {t!r} in an upset block")
+    return m.group(1), tokens
 
 
 def format_upset_block(x: UpSet, name: str | None = None) -> str:

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from wqokit import coverability, transport
+from wqokit import coverability, transport, upset
 from wqokit.cli import _COMMANDS, _build_parser, run
 from wqokit.words import Alphabet, Word
 
@@ -47,6 +47,17 @@ BLOCKS = {
     "idx_open": "upset { [0,1 }",
     "idx_long": f"upset {{ [{NINES}] }}",
     "net_long": f"places {NINES}\ninitial (0)\ntarget (0)\n",
+    "stray_close": "upset { a } b }",
+    "stray_paren": "upset { (1,2) ) (2,1) }",
+    "two_blocks": "upset { a } upset { b }",
+    "open_paren": "upset { a(b }",
+    "no_coords": "upset { () }",
+    # the basis holds (2*MOST,0), one digit too long to print
+    "net_wide": (
+        f"places 2\ntransition t consume ({MOST},0) produce (0,2)\n"
+        f"initial (0,0)\ntarget ({MOST},1)\n"
+    ),
+    "seq_good": "(0,1)\n(1,1)\n",
 }
 
 
@@ -211,6 +222,16 @@ ERR = [
      "letter index of 4301 characters is over the limit of 4300 digits"),
     (["cover", "{net_long}"], "line 1, column 1: expected: places <count>"),
     (["embed", "check", "dickson-to-word", NINES], f"range must be a number, got '{NINES}'"),
+    # a delimiter outside a vector or an index list is refused, not skipped
+    (["upset", "normalize", "{stray_close}"], "unexpected '}}' in an upset block"),
+    (["upset", "normalize", "{stray_paren}"], "unexpected ')' in an upset block"),
+    (["upset", "normalize", "{two_blocks}"], "unexpected '}}' in an upset block"),
+    (["upset", "normalize", "{open_paren}"], "unexpected '(' in an upset block"),
+    # while "()" is still a vector token, refused by parse_vec
+    (["upset", "normalize", "{no_coords}"], "a vector needs at least one component"),
+    # a computed coordinate too long to print back fails with wqokit's message
+    (["cover", "{net_wide}"],
+     "cannot print a vector component over the limit of 4300 digits"),
 ]
 
 
@@ -331,3 +352,24 @@ def test_cover_reports_an_oracle_disagreement(capsys, files, monkeypatch):
         "error: forward oracle covers the target but the backward analysis "
         "says unreachable\n",
     )
+
+
+def _boom(*args):
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("formatter,argv", [
+    ("format_upset_block", ["cover", "{net}"]),
+    ("_show", ["seq", "good-pair", "{seq_good}"]),
+])
+def test_a_failing_verb_prints_nothing(capsys, files, monkeypatch, formatter, argv):
+    # the formatter called last fails after the rest of the answer is built
+    monkeypatch.setattr(upset, formatter, _boom)
+    assert call(capsys, files, argv) == (2, "", "error: boom\n")
+
+
+def test_a_failing_counterexample_prints_nothing(capsys, monkeypatch):
+    monkeypatch.setattr(transport, "dickson_to_word", lambda v: Word(Alphabet(("1",))))
+    monkeypatch.setattr(upset, "_show", _boom)
+    assert run(["embed", "check", "dickson-to-word", "1", "--dim", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: boom\n")

@@ -7,7 +7,7 @@ or rejects with an unrelated message.
 
 import pytest
 
-from wqokit import Alphabet, NetParseError, parse_net, parse_vec, parse_word
+from wqokit import Alphabet, NetParseError, format_vec, parse_net, parse_vec, parse_word
 from wqokit.cli import run
 
 FOREIGN = ["٣", "²"]
@@ -40,3 +40,10 @@ def test_cli_rejects_non_ascii_digits(digit, tmp_path, capsys):
     assert run(["order", "leq-e", f"[{digit}]", "[0,1]"]) == 2
     assert run(["embed", "check", "dickson-to-word", digit, "--dim", "2"]) == 2
     assert "range must be a number" in capsys.readouterr().err
+
+
+def test_format_vec_prints_only_what_parse_vec_reads():
+    most = 10**4300 - 1
+    assert parse_vec(format_vec((most, 0))) == (most, 0)
+    with pytest.raises(ValueError, match="^cannot print a vector component over the limit"):
+        format_vec((0, most + 1))
