@@ -13,10 +13,15 @@ for well-structured systems (Abdulla, Cerans, Jonsson and Tsay, 1996;
 Finkel and Schnoebelen, 2001). The pre-image distributes over union and
 is monotone, so a round need only take pre-images of the generators the
 previous round added: those of older generators are already in the set.
-Each candidate is inserted into the antichain once. It is dropped when
-some generator lies below it; otherwise it evicts the generators above
-it. Every round yields the same upward closed set as renormalizing the
-whole basis would, so verdicts, round counts and bases are unchanged.
+A round collects its candidates as a set, so each is met once, drops
+those already in the basis, and inserts the rest into the antichain in
+lexicographic order. A candidate is dropped when some generator lies
+below it; otherwise it evicts the generators above it. All generators
+have one dimension, so b <= c with b != c puts b first in that order:
+no candidate is evicted by a later one of the same round, and every
+insertion is a generator the round keeps. Every round yields the same
+upward closed set as renormalizing the whole basis would, so verdicts,
+round counts and bases are unchanged.
 
 The antichain is a set of generators, indexed by a coordinate trie (the
 covering sharing trees of Delzanno, Raskin and Van Begin, 2004, with
@@ -237,20 +242,18 @@ def backward_cover(
                 f"no fixpoint within {max_iterations} rounds; "
                 f"the basis has {len(basis)} generators"
             )
-        added = []
-        for g in frontier:
-            for consume, delta in steps:
-                c = _pre(g, consume, delta)
-                if _add(root, c, last, basis):
-                    added.append(c)
+        candidates = {
+            _pre(g, consume, delta) for g in frontier for consume, delta in steps
+        }
+        # b <= c, b != c sorts b first: no candidate evicts one inserted before it
+        frontier = [c for c in sorted(candidates - basis) if _add(root, c, last, basis)]
         if len(basis) > max_basis:
             raise SaturationLimit(
                 f"basis reached {len(basis)} generators in round {iterations + 1}, "
                 f"over the limit of {max_basis}"
             )
-        if not added:
+        if not frontier:
             return CoverResult(False, _antichain_upset(vec_leq, basis), iterations)
-        frontier = [c for c in added if c in basis]
         iterations += 1
 
 

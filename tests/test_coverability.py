@@ -274,6 +274,77 @@ def test_backward_cover_matches_round_by_round_saturation(q):
             backward_cover(q, max_iterations=r.iterations - 1)
 
 
+def _assert_no_same_round_eviction(q: CoverQuery) -> None:
+    """No vector a round inserts is evicted before that round ends.
+
+    The target is inserted before round 1, and a candidate of round k is
+    the pre-image of a generator inserted in round k - 1: the round that
+    inserts a vector is read off the last _pre call that made it.
+    """
+    round_of: dict = {}  # inserted vector -> the round that inserted it
+    made_from: dict = {}  # candidate -> the generator it was last made from
+    adding = 0  # the round of the vector being added
+    pre, add, evict = coverability._pre, coverability._add, coverability._evict_above
+
+    def recording_pre(g, consume, delta):
+        c = pre(g, consume, delta)
+        made_from[c] = g
+        return c
+
+    def recording_add(root, c, last, basis):
+        nonlocal adding
+        adding = round_of[made_from[c]] + 1 if c in made_from else 0
+        if not add(root, c, last, basis):
+            return False
+        round_of[c] = adding
+        return True
+
+    def recording_evict(node, c, i, last, basis):
+        if i:  # a recursive call, inside one eviction
+            return evict(node, c, i, last, basis)
+        before = set(basis)
+        evict(node, c, i, last, basis)
+        gone = before - basis
+        assert all(round_of[g] < adding for g in gone), (adding, gone)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coverability, "_pre", recording_pre)
+        mp.setattr(coverability, "_add", recording_add)
+        mp.setattr(coverability, "_evict_above", recording_evict)
+        result = backward_cover(q)
+    assert max(round_of.values()) == result.iterations
+
+
+def test_chain6_evicts_no_generator_in_the_round_that_added_it():
+    _assert_no_same_round_eviction(chain(6, (1, 0, 0, 0, 0, 0), 33))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_queries())
+def test_backward_cover_evicts_no_generator_in_the_round_that_added_it(q):
+    _assert_no_same_round_eviction(q)
+
+
+def _answer(q: CoverQuery, **caps):
+    try:
+        return backward_cover(q, **caps)
+    except SaturationLimit as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_queries(), st.data())
+def test_backward_cover_ignores_the_order_of_transitions(q, data):
+    ts = data.draw(st.permutations(q.net.transitions))
+    p = CoverQuery(Vas(q.net.places, ts), q.initial, q.target)
+    r = backward_cover(q)
+    assert backward_cover(p) == r
+    for cap in range(r.iterations + 2):
+        assert _answer(p, max_iterations=cap) == _answer(q, max_iterations=cap)
+    for cap in range(len(r.basis.gens) + 2):
+        assert _answer(p, max_basis=cap) == _answer(q, max_basis=cap)
+
+
 @st.composite
 def vector_runs(draw):
     m = draw(st.integers(1, 5))
