@@ -13,15 +13,22 @@ for well-structured systems (Abdulla, Cerans, Jonsson and Tsay, 1996;
 Finkel and Schnoebelen, 2001). The pre-image distributes over union and
 is monotone, so a round need only take pre-images of the generators the
 previous round added: those of older generators are already in the set.
-A round collects its candidates as a set, so each is met once, drops
-those already in the basis, and inserts the rest into the antichain in
-lexicographic order. A candidate is dropped when some generator lies
-below it; otherwise it evicts the generators above it. All generators
-have one dimension, so b <= c with b != c puts b first in that order:
-no candidate is evicted by a later one of the same round, and every
-insertion is a generator the round keeps. Every round yields the same
-upward closed set as renormalizing the whole basis would, so verdicts,
-round counts and bases are unchanged.
+A round does not even collect a pre-image c that lies above the
+generator g it was made from: g is in the basis when the round starts
+(no generator is evicted in the round that inserted it), a generator
+that evicts g lies below g, so some generator stays below c and _add
+would refuse it. _pre(g, t) >= g holds exactly when g[i] <= consume[i]
+at every place i where t gains tokens; on a chain net, where t_i turns
+one token on place i into two on place i+1, that is t_i acting on any g
+with g[i+1] = 0. The round collects its candidates as a set, so each is
+met once, drops those already in the basis, and inserts the rest into
+the antichain in lexicographic order. A candidate is dropped when some
+generator lies below it; otherwise it evicts the generators above it.
+All generators have one dimension, so b <= c with b != c puts b first
+in that order: no candidate is evicted by a later one of the same
+round, and every insertion is a generator the round keeps. Every round
+yields the same upward closed set as renormalizing the whole basis
+would, so verdicts, round counts and bases are unchanged.
 
 The antichain is a set of generators, indexed by a coordinate trie (the
 covering sharing trees of Delzanno, Raskin and Van Begin, 2004, with
@@ -40,7 +47,7 @@ cannot rule out by a key.
 from __future__ import annotations
 
 import re
-from operator import add, sub
+from operator import add, le, sub
 from typing import NamedTuple
 
 from .dickson import DimensionMismatch, IntVec, NatVec, _require_same_dim, _Value
@@ -242,8 +249,12 @@ def backward_cover(
                 f"no fixpoint within {max_iterations} rounds; "
                 f"the basis has {len(basis)} generators"
             )
+        # g is still in the basis, so g <= c means _add would refuse c
         candidates = {
-            _pre(g, consume, delta) for g in frontier for consume, delta in steps
+            c
+            for g in frontier
+            for consume, delta in steps
+            if not all(map(le, g, c := _pre(g, consume, delta)))
         }
         # b <= c, b != c sorts b first: no candidate evicts one inserted before it
         frontier = [c for c in sorted(candidates - basis) if _add(root, c, last, basis)]
@@ -268,6 +279,8 @@ def forward_cover_oracle(q: CoverQuery, bound: NatVec) -> bool:
     leave the box are never seen. Raises ValueError once more than
     _MAX_MARKINGS markings have been visited.
     """
+    # checked, so a bound of the wrong dimension is refused; the BFS
+    # compares raw, since the net has checked every other dimension
     if not vec_leq(q.initial, bound):
         raise ValueError(
             f"initial marking {format_vec(q.initial)} exceeds "
@@ -279,13 +292,13 @@ def forward_cover_oracle(q: CoverQuery, bound: NatVec) -> bool:
     while frontier:
         fresh: list[NatVec] = []
         for m in frontier:
-            if vec_leq(q.target, m):
+            if all(map(le, q.target, m)):
                 return True
             for consume, delta in steps:
-                if not vec_leq(consume, m):
+                if not all(map(le, consume, m)):
                     continue
                 succ = tuple(map(add, m, delta))
-                if vec_leq(succ, bound) and succ not in seen:
+                if all(map(le, succ, bound)) and succ not in seen:
                     seen.add(succ)
                     fresh.append(succ)
                     if len(seen) > _MAX_MARKINGS:

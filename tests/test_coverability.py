@@ -258,9 +258,7 @@ def _outcome(run, q, **caps):
         return "limit"
 
 
-@settings(max_examples=300, deadline=None)
-@given(small_queries())
-def test_backward_cover_matches_round_by_round_saturation(q):
+def _assert_matches_round_by_round(q: CoverQuery) -> None:
     r = backward_cover(q)
     assert r == round_by_round(q)
     for cap in range(r.iterations + 2):
@@ -272,6 +270,47 @@ def test_backward_cover_matches_round_by_round_saturation(q):
     if r.iterations:
         with pytest.raises(SaturationLimit):
             backward_cover(q, max_iterations=r.iterations - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_queries())
+def test_backward_cover_matches_round_by_round_saturation(q):
+    _assert_matches_round_by_round(q)
+
+
+# nets with a transition whose pre-image of some generator lies above it
+SELF_COVERING = {
+    "identity": CoverQuery(
+        Vas(2, (Transition("i", (1, 0), (1, 0)), Transition("t", (1, 0), (0, 2)))),
+        initial=(2, 0),
+        target=(0, 5),
+    ),
+    "gain on a consumed place": CoverQuery(
+        Vas(2, (Transition("g", (1, 0), (2, 0)), Transition("t", (1, 0), (0, 1)))),
+        initial=(1, 0),
+        target=(0, 3),
+    ),
+    "zero consume": CoverQuery(
+        Vas(
+            3,
+            (
+                Transition("z", (0, 0, 0), (0, 0, 1)),
+                Transition("t", (1, 0, 0), (0, 2, 0)),
+                Transition("u", (0, 1, 1), (0, 0, 0)),
+            ),
+        ),
+        initial=(1, 0, 0),
+        target=(0, 3, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("q", SELF_COVERING.values(), ids=SELF_COVERING)
+def test_backward_cover_matches_round_by_round_on_self_covering_pre_images(q):
+    steps = [(t.consume, coverability._delta(t)) for t in q.net.transitions]
+    gens = backward_cover(q).basis.gens
+    assert any(leq(g, coverability._pre(g, *s)) for g in gens for s in steps)
+    _assert_matches_round_by_round(q)
 
 
 def _assert_no_same_round_eviction(q: CoverQuery) -> None:
@@ -323,6 +362,48 @@ def test_chain6_evicts_no_generator_in_the_round_that_added_it():
 @given(small_queries())
 def test_backward_cover_evicts_no_generator_in_the_round_that_added_it(q):
     _assert_no_same_round_eviction(q)
+
+
+def _assert_no_candidate_only_above_its_sources(q: CoverQuery) -> None:
+    """Every vector _add receives after the target has a source not below it.
+
+    A round makes all its candidates with _pre before it adds any, so a
+    _pre call that follows an _add call starts a new round.
+    """
+    sources: dict = {}  # candidate -> the generators it was made from this round
+    adding = False
+    pre, add = coverability._pre, coverability._add
+
+    def recording_pre(g, consume, delta):
+        nonlocal adding
+        if adding:
+            sources.clear()
+            adding = False
+        c = pre(g, consume, delta)
+        sources.setdefault(c, []).append(g)
+        return c
+
+    def recording_add(root, c, last, basis):
+        nonlocal adding
+        if basis:  # the target is added first, from no source
+            assert not all(leq(g, c) for g in sources[c]), (c, sources[c])
+        adding = True
+        return add(root, c, last, basis)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coverability, "_pre", recording_pre)
+        mp.setattr(coverability, "_add", recording_add)
+        backward_cover(q)
+
+
+def test_chain6_adds_no_candidate_that_lies_above_all_its_sources():
+    _assert_no_candidate_only_above_its_sources(chain(6, (1, 0, 0, 0, 0, 0), 33))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_queries())
+def test_backward_cover_adds_no_candidate_that_lies_above_all_its_sources(q):
+    _assert_no_candidate_only_above_its_sources(q)
 
 
 def _answer(q: CoverQuery, **caps):
