@@ -32,13 +32,17 @@ would, so verdicts, round counts and bases are unchanged.
 
 The antichain is a set of generators, indexed by a coordinate trie (the
 covering sharing trees of Delzanno, Raskin and Van Begin, 2004, with
-shared prefixes only): nested dicts with one level per place, each
-root-to-leaf path one generator. b <= c holds iff b[i] <= c[i] at every
-level, so the search for a generator below c enters only the children
-keyed <= c[i], and eviction enters only those keyed >= c[i]; a whole
-subtrie is skipped on one comparison of its key. Eviction deletes the
-nodes it empties and removes their generators from the set, which stays
-the one record of the basis: its size, its members and the result. The
+shared prefixes only): nested dicts with one level per place but the
+last. The deepest level maps the next-to-last coordinate to the
+generator itself, whose last coordinate is then compared directly. It
+holds one generator per key, because two generators that agree on all
+coordinates but the last are comparable and the basis is an antichain.
+b <= c holds iff b[i] <= c[i] at every level and b[-1] <= c[-1], so the
+search for a generator below c enters only the children keyed <= c[i],
+and eviction enters only those keyed >= c[i]; a whole subtrie is
+skipped on one comparison of its key. Eviction deletes the nodes it
+empties and removes their generators from the set, which stays the one
+record of the basis: its size, its members and the result. The
 limit is the basis itself: it can grow doubly exponentially in the net
 (Rackoff 1978), and every candidate still meets the generators it
 cannot rule out by a key.
@@ -147,7 +151,7 @@ def _pre(g: NatVec, consume: NatVec, delta: IntVec) -> NatVec:
     such v is max(g - delta, consume), componentwise; consume >= 0 keeps
     it natural. The caller has checked the dimensions.
     """
-    return tuple(map(max, map(sub, g, delta), consume))
+    return tuple([x - d if x - d > k else k for x, d, k in zip(g, delta, consume)])
 
 
 def pre_step(x: UpSet, t: Transition) -> UpSet:
@@ -159,54 +163,64 @@ def pre_step(x: UpSet, t: Transition) -> UpSet:
     return dickson_upset(_pre(g, t.consume, delta) for g in x.gens)
 
 
-def _add(root: dict, c: NatVec, last: int, basis: set) -> bool:
+def _add(root: dict, c: NatVec, leaf: int, basis: set) -> bool:
     """Add c to basis unless a generator lies below it; evict those above it.
 
-    root is the coordinate trie of basis: nested dicts, one level per
-    place, each root-to-leaf path one generator, the last level mapping
-    c[-1] to c itself, and no node empty. Returns whether c was added.
+    root is the coordinate trie of basis: nested dicts keyed by the first
+    places - 1 coordinates, no node empty. The deepest level, at depth
+    leaf = max(places - 2, 0), maps c[leaf] to the generator c itself;
+    with one place, the root is that level, keyed by the only coordinate.
+    It holds one generator per key: two vectors that agree on every
+    coordinate but the last are comparable, and the basis is an
+    antichain. So the entry for c is never overwritten: a generator
+    already there is either below c, which refuses c, or above it, and
+    evicted first. Returns whether c was added.
     """
-    if _has_below(root, c, 0, last):
+    if _has_below(root, c, 0, leaf):
         return False
-    _evict_above(root, c, 0, last, basis)
+    _evict_above(root, c, 0, leaf, basis)
     node = root
-    for x in c[:-1]:
+    for x in c[:leaf]:
         node = node.setdefault(x, {})
-    node[c[-1]] = c
+    node[c[leaf]] = c
     basis.add(c)
     return True
 
 
-def _has_below(node: dict, c: NatVec, i: int, last: int) -> bool:
-    """Whether some path under node, at depth i, is <= c[i:].
+def _has_below(node: dict, c: NatVec, i: int, leaf: int) -> bool:
+    """Whether some generator under node, at depth i, is <= c from coordinate i on.
 
-    Only keys <= c[i] can start such a path, so no other child is entered.
+    Only keys <= c[i] can start such a path, so no other child is entered;
+    at the leaf level the key and the generator's last coordinate decide.
     """
     ci = c[i]
-    if i == last:
-        for k in node:
-            if k <= ci:
+    if i == leaf:
+        z = c[-1]
+        for k, g in node.items():
+            if k <= ci and g[-1] <= z:
                 return True
         return False
     for k, child in node.items():
-        if k <= ci and _has_below(child, c, i + 1, last):
+        if k <= ci and _has_below(child, c, i + 1, leaf):
             return True
     return False
 
 
-def _evict_above(node: dict, c: NatVec, i: int, last: int, basis: set) -> None:
-    """Delete the paths under node, at depth i, that are >= c[i:], from basis too.
+def _evict_above(node: dict, c: NatVec, i: int, leaf: int, basis: set) -> None:
+    """Delete the generators under node, at depth i, >= c from coordinate i on.
 
-    Only keys >= c[i] can start such a path. Nodes left empty are
-    deleted too.
+    They leave basis too. Only keys >= c[i] can start such a path. Nodes
+    left empty are deleted too.
     """
     ci = c[i]
-    for k in [k for k in node if k >= ci]:
-        if i == last:
+    if i == leaf:
+        z = c[-1]
+        for k in [k for k, g in node.items() if k >= ci and g[-1] >= z]:
             basis.remove(node.pop(k))
-            continue
+        return
+    for k in [k for k in node if k >= ci]:
         child = node[k]
-        _evict_above(child, c, i + 1, last, basis)
+        _evict_above(child, c, i + 1, leaf, basis)
         if not child:
             del node[k]
 
@@ -234,9 +248,9 @@ def backward_cover(
         raise ValueError("max_iterations must be at least 0")
     steps = [(t.consume, _delta(t)) for t in q.net.transitions]
     root: dict = {}
-    last = q.net.places - 1
+    leaf = max(q.net.places - 2, 0)
     basis: set = set()
-    _add(root, q.target, last, basis)
+    _add(root, q.target, leaf, basis)
     frontier = [q.target]
     iterations = 0
     while True:
@@ -257,7 +271,7 @@ def backward_cover(
             if not all(map(le, g, c := _pre(g, consume, delta)))
         }
         # b <= c, b != c sorts b first: no candidate evicts one inserted before it
-        frontier = [c for c in sorted(candidates - basis) if _add(root, c, last, basis)]
+        frontier = [c for c in sorted(candidates - basis) if _add(root, c, leaf, basis)]
         if len(basis) > max_basis:
             raise SaturationLimit(
                 f"basis reached {len(basis)} generators in round {iterations + 1}, "

@@ -6,6 +6,8 @@ dimension. Operations on two vectors require equal dimensions.
 
 from __future__ import annotations
 
+from operator import le
+
 NatVec = tuple[int, ...]
 IntVec = tuple[int, ...]
 
@@ -85,13 +87,13 @@ def is_decimal(s: str) -> bool:
 def leq(a: NatVec, b: NatVec) -> bool:
     """True iff every component of a is <= the matching component of b."""
     _require_same_dim(a, b)
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def join(a: NatVec, b: NatVec) -> NatVec:
     """Componentwise maximum: the least vector above both a and b."""
     _require_same_dim(a, b)
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monus(a: NatVec, d: IntVec) -> NatVec:

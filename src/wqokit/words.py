@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import repeat
+from operator import contains
 
 from .dickson import _Value, _decimals
 
@@ -136,8 +138,9 @@ def leq_e(u: Word, v: Word) -> bool:
     unused occurrence in v. Greedy matching succeeds iff any matching does.
     """
     _require_same_alphabet(u, v)
-    remaining = iter(v.letters)
-    return all(c in remaining for c in u.letters)
+    # contains(it, x) is `x in it`, which advances the one shared iterator
+    # past x: still the greedy leftmost match, with no Python-level call
+    return all(map(contains, repeat(iter(v.letters)), u.letters))
 
 
 def support(u: Word) -> frozenset[int]:
@@ -173,8 +176,7 @@ def leq_E(u: Word, v: Word) -> bool:
     _require_same_alphabet(u, v)
     if set(u.letters) != set(v.letters):
         return False
-    remaining = iter(_flagged(v.letters))
-    return all(c in remaining for c in _flagged(u.letters))
+    return all(map(contains, repeat(iter(_flagged(v.letters))), _flagged(u.letters)))
 
 
 def labeled_leq(p: LabeledWord, q: LabeledWord) -> bool:

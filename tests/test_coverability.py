@@ -432,29 +432,31 @@ def vector_runs(draw):
     return m, draw(st.lists(st.tuples(*[st.integers(0, 4)] * m), max_size=30))
 
 
-def trie_paths(node: dict, depth: int, last: int, prefix=()):
-    """Walk the trie by hand: no node is empty, each leaf is its path."""
+def trie_paths(node: dict, depth: int, leaf: int, m: int, prefix=()):
+    """Walk the trie by hand: no node is empty, and the leaf level holds
+    generators of length m whose first leaf + 1 coordinates are their path."""
     assert node, f"empty node under {prefix}"
     for k, child in node.items():
-        if depth == last:
-            assert child == prefix + (k,)
+        if depth == leaf:
+            assert len(child) == m and child[: depth + 1] == prefix + (k,)
             yield child
         else:
-            yield from trie_paths(child, depth + 1, last, prefix + (k,))
+            yield from trie_paths(child, depth + 1, leaf, m, prefix + (k,))
 
 
 @settings(max_examples=300, deadline=None)
 @given(vector_runs())
 def test_trie_keeps_the_minimal_elements(run):
     m, vecs = run
+    leaf = max(m - 2, 0)  # the leaf depth backward_cover uses
     root: dict = {}
     basis: set = set()
     for k, c in enumerate(vecs):
         kept = set(basis)
-        added = coverability._add(root, c, m - 1, basis)
+        added = coverability._add(root, c, leaf, basis)
         assert added == (not any(leq(b, c) for b in kept))
         want = minimal_elements(vecs[: k + 1], leq)
-        paths = list(trie_paths(root, 0, m - 1))
+        paths = list(trie_paths(root, 0, leaf, m))
         assert len(paths) == len(want) == len(basis)
         assert set(paths) == basis == want
 

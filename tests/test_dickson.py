@@ -13,7 +13,7 @@ from wqokit import (
     parse_vec,
 )
 
-from oracles import box
+from oracles import box, vec_le
 
 
 def test_leq_basics():
@@ -54,6 +54,14 @@ def test_join_is_least_upper_bound():
         for c in pts:
             if leq(a, c) and leq(b, c):
                 assert leq(j, c)
+
+
+def test_leq_and_join_match_the_oracle():
+    for m in (0, 1, 3):
+        pts = box(3, m)
+        for a, b in product(pts, pts):
+            assert leq(a, b) == vec_le(a, b)
+            assert join(a, b) == tuple(max(x, y) for x, y in zip(a, b))
 
 
 def test_monus():
