@@ -1,4 +1,6 @@
+import functools
 import random
+import time
 from itertools import product
 
 import pytest
@@ -16,6 +18,7 @@ from wqokit import (
     phi,
     support,
 )
+from wqokit import words
 
 from oracles import embeds_recursive, flag_occurrences, words_upto
 
@@ -86,6 +89,19 @@ def test_parse_word_forms():
         parse_word("az", AB)
     with pytest.raises(ValueError):
         parse_word("ab", AB.doubled())  # multi-character names need indices
+
+
+def test_parse_word_is_linear_in_the_word():
+    # 20,000 distinct letters; a scan of the alphabet per letter took 7-9 s
+    # on a 2-core VM
+    text = "".join(chr(0x4E00 + i) for i in range(20_000))
+    alpha = Alphabet.from_letters(text)
+    start = time.perf_counter()
+    word = parse_word(text, alpha)
+    assert time.perf_counter() - start < 2.0
+    assert word.letters == tuple(range(20_000))
+    with pytest.raises(ValueError, match="^letter 'x' is not in alphabet "):
+        parse_word(text + "x", alpha)
 
 
 @pytest.mark.parametrize("text", ["a b", "a\tb", "a,b", "a(b", "ab)", "a]", "{a}", "a[0]"])
@@ -250,3 +266,44 @@ def test_alphabet_check_compares_names_not_objects(pair):
     for rel in (leq_e, leq_E):
         with pytest.raises(AlphabetMismatch):
             rel(u, other)
+
+
+def _assert_leq_E_and_phi_match_the_oracles(u: Word, v: Word) -> None:
+    expected = set(u.letters) == set(v.letters) and embeds_recursive(
+        flag_occurrences(u.letters), flag_occurrences(v.letters), {}
+    )
+    assert leq_E(u, v) == expected
+    assert labeled_leq(phi(u), phi(v)) == expected
+    for x in (u, v):
+        assert phi(x).word.letters == flag_occurrences(x.letters)
+        assert phi(x).support == support(x)
+
+
+@functools.cache
+def _filler() -> list[Word]:
+    """More distinct words than the flagged-form cache holds, each longer
+    than any word of word_pairs()."""
+    size = words._flagged.cache_info().maxsize
+    return [Word(AB, tuple(int(b) for b in format(n, "b"))) for n in range(512, 513 + size)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(word_pairs())
+def test_leq_E_and_phi_survive_cache_clear_and_eviction(pair):
+    u, v = pair
+    cache = words._flagged
+    assert cache.cache_info().maxsize is not None
+    cache.cache_clear()
+    _assert_leq_E_and_phi_match_the_oracles(u, v)
+    # equal letter tuples, already cached, over another alphabet
+    other = Alphabet.from_letters("wxyz"[: u.alphabet.size])
+    for a, b in ((u, Word(other, u.letters)), (Word(other, v.letters), v)):
+        with pytest.raises(AlphabetMismatch):
+            leq_E(a, b)
+    assert phi(Word(other, u.letters)).word.alphabet == other.doubled()
+    for f in _filler():
+        assert leq_E(f, f)
+    misses = cache.cache_info().misses
+    _assert_leq_E_and_phi_match_the_oracles(u, v)
+    # u and v were evicted, so the first lookup of each missed
+    assert cache.cache_info().misses - misses == len({u.letters, v.letters})
