@@ -11,6 +11,13 @@ stdout; run() prints the text after the handler returns. So a verb prints
 its whole answer or nothing, and an input error exits 2 with empty stdout.
 The one exception is a `cover --oracle-bound` disagreement: it exits 2
 with the answer on stdout and the error on stderr.
+
+_read reads an input file whole with open()'s defaults: the locale's
+encoding and universal newlines, so a file with CRLF line ends reads as
+its LF copy, and a path that cannot be read fails with the OSError's own
+text. A net file is split into words by str.split() on each line once
+its comment is cut; the column of a word is computed only for an error
+message (coverability.parse_net).
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import argparse
 import sys
 from functools import cache, partial
 from itertools import product
-from pathlib import Path
 
 from . import coverability, dickson, orders, transport, upset, words
 from .words import Alphabet, Word
@@ -83,6 +89,12 @@ def _carrier(texts, alphabet_opt, letters=()) -> Alphabet | None:
     return Alphabet.indexed(top + 1)
 
 
+def _read(path: str) -> str:
+    """The text of the file at path, in the locale's encoding, newlines universal."""
+    with open(path) as f:
+        return f.read()
+
+
 def _parse_elem(alpha: Alphabet | None, text: str):
     if alpha is None:
         return dickson.parse_vec(text)
@@ -96,7 +108,7 @@ def _upsets(ns, *paths, extra=(), letters=(), only=None):
     extra element or point) and checked against `only` before parsing;
     with no text at all, either carrier fits.
     """
-    blocks = [upset.parse_upset_block(Path(p).read_text())[1] for p in paths]
+    blocks = [upset.parse_upset_block(_read(p))[1] for p in paths]
     texts = [t for toks in blocks for t in toks] + list(extra)
     alpha = _carrier(texts, getattr(ns, "alphabet", None), letters)
     if only and texts and only != ("vector" if alpha is None else "word"):
@@ -123,7 +135,7 @@ def _cmd_order(ns) -> tuple[int, str]:
 
 
 def _cmd_seq(ns) -> tuple[int, str]:
-    lines = Path(ns.file).read_text().splitlines()
+    lines = _read(ns.file).splitlines()
     texts = [ln.split("#", 1)[0].strip() for ln in lines]
     texts = [t for t in texts if t]
     if not texts:
@@ -227,7 +239,7 @@ def _cmd_embed(ns) -> tuple[int, str]:
 
 
 def _cmd_cover(ns) -> tuple[int, str]:
-    query = coverability.parse_net(Path(ns.netfile).read_text())
+    query = coverability.parse_net(_read(ns.netfile))
     # the oracle runs first, so a bad bound fails before a long saturation
     # and its error wins over SaturationLimit
     oracle = None
@@ -313,7 +325,7 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         # --alphabet is read here once, so every verb taking it checks it
-        if getattr(ns, "alphabet", None):
+        if getattr(ns, "alphabet", None) is not None:
             ns.alphabet = Alphabet.from_letters(ns.alphabet)
         code, out = ns.handler(ns)
         print(out)

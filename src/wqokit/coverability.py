@@ -51,6 +51,7 @@ cannot rule out by a key.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from operator import add, le, sub
 from typing import NamedTuple
 
@@ -324,28 +325,25 @@ def forward_cover_oracle(q: CoverQuery, bound: NatVec) -> bool:
     return False
 
 
-# directive -> the words after it: keywords, and <values> (a <count> is decimal)
+# directive -> the words after it: keywords, and <values> (a <count> is decimal).
+# Keywords sit at the odd positions, so a line's words toks[2::2] (the head
+# is toks[0]) must equal _KEYWORDS[head].
 _DIRECTIVES = {
     "places": ("<count>",),
     "transition": ("<name>", "consume", "<vec>", "produce", "<vec>"),
     "initial": ("<vec>",),
     "target": ("<vec>",),
 }
+_KEYWORDS = {head: list(words[1::2]) for head, words in _DIRECTIVES.items()}
 
 
-def _net_vec(token: str, line: int, column: int, places: int | None) -> NatVec:
-    """Parse a vector token; once places is known, check its dimension."""
-    try:
-        v = parse_vec(token)
-    except ValueError as exc:
-        raise NetParseError(str(exc), line, column) from None
-    if places is not None and len(v) != places:
-        raise NetParseError(
-            f"vector {format_vec(v)} has dimension {len(v)}, net has {places} places",
-            line,
-            column,
-        )
-    return v
+def _column(line: str, k: int) -> int:
+    """1-based column of word k of line, counting words from 0.
+
+    str.split() splits on exactly the characters the regex \\s matches,
+    so word k starts where the k-th run of \\S+ does.
+    """
+    return next(islice(re.finditer(r"\S+", line), k, None)).start() + 1
 
 
 def parse_net(text: str) -> CoverQuery:
@@ -361,48 +359,65 @@ def parse_net(text: str) -> CoverQuery:
     order, but places must come before the transitions, which may repeat.
     An initial or target line read before places is checked against the
     place count when the query is built, raising DimensionMismatch.
+
+    A line's words are what str.split() makes of it once its comment is
+    cut: runs of characters that are not whitespace in the sense of
+    str.isspace(), so a tab, a no-break space or an ideographic space
+    separates words as a space does. A NetParseError carries the 1-based
+    line and the column of the word at fault, where a tab counts as one
+    column; the column is computed only when the error is raised.
     """
     seen: dict = {}  # places, initial and target, once read
     transitions: list[Transition] = []
+
+    def error(message: str, k: int = 0) -> NetParseError:
+        # word k of the line being read
+        return NetParseError(message, lineno, _column(line, k))
+
+    def vec(k: int) -> NatVec:
+        # word k as a vector; once places is known, of that dimension
+        try:
+            v = parse_vec(toks[k])
+        except ValueError as exc:
+            raise error(str(exc), k) from None
+        if places is not None and len(v) != places:
+            raise error(
+                f"vector {format_vec(v)} has dimension {len(v)}, net has {places} places",
+                k,
+            )
+        return v
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        toks = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
+        toks = line.split()
         if not toks:
             continue
-        (head, col), args = toks[0], toks[1:]
+        head = toks[0]
         words = _DIRECTIVES.get(head)
         places = seen.get("places")
         if words is None:
-            raise NetParseError(f"unknown directive {head!r}", lineno, col)
+            raise error(f"unknown directive {head!r}")
         if head == "places" and places is not None:
-            raise NetParseError("duplicate places line", lineno, col)
+            raise error("duplicate places line")
         if head == "transition" and places is None:
-            raise NetParseError(
-                "places must be declared before transitions", lineno, col
-            )
-        if len(args) != len(words) or any(
-            tok != w if w[0] != "<" else (w == "<count>" and not is_decimal(tok))
-            for (tok, _), w in zip(args, words)
+            raise error("places must be declared before transitions")
+        if (
+            len(toks) != len(words) + 1
+            or toks[2::2] != _KEYWORDS[head]
+            or (head == "places" and not is_decimal(toks[1]))
         ):
-            raise NetParseError("expected: " + " ".join((head, *words)), lineno, col)
+            raise error("expected: " + " ".join((head, *words)))
         if head == "places":
-            seen[head] = int(args[0][0])
+            seen[head] = int(toks[1])
             if seen[head] < 1:
-                raise NetParseError(
-                    "a net needs at least one place", lineno, args[0][1]
-                )
-            continue
-        vecs = [
-            _net_vec(tok, lineno, c, places)
-            for (tok, c), w in zip(args, words)
-            if w == "<vec>"
-        ]
-        if head == "transition":
-            transitions.append(Transition(args[0][0], *vecs))
-        elif head in seen:
-            raise NetParseError(f"duplicate {head} line", lineno, col)
+                raise error("a net needs at least one place", 1)
+        elif head == "transition":
+            transitions.append(Transition(toks[1], vec(3), vec(5)))
         else:
-            seen[head] = vecs[0]
+            v = vec(1)
+            if head in seen:
+                raise error(f"duplicate {head} line")
+            seen[head] = v
     for head in ("places", "initial", "target"):
         if head not in seen:
             raise NetParseError(f"missing {head} line")

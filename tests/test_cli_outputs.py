@@ -232,6 +232,12 @@ ERR = [
     # a computed coordinate too long to print back fails with wqokit's message
     (["cover", "{net_wide}"],
      "cannot print a vector component over the limit of 4300 digits"),
+    # an empty --alphabet is refused, not read as no alphabet
+    (["order", "leq-e", "ab", "aab", "--alphabet", ""], "an alphabet needs at least one letter"),
+    (["embed", "check", "word-to-labeled", "1", "--alphabet", ""],
+     "an alphabet needs at least one letter"),
+    # an input file is opened as given, so a directory fails with the OS's message
+    (["cover", "{dir}"], "[Errno 21] Is a directory: '{dir}'"),
 ]
 
 
@@ -269,6 +275,7 @@ def files(tmp_path):
         p.write_text(text)
         paths[name] = str(p)
     paths["missing"] = str(tmp_path / "missing.up")
+    paths["dir"] = str(tmp_path)
     return paths
 
 
@@ -301,6 +308,21 @@ def test_missing_file(capsys, files):
     for argv in MISSING:
         want = f"error: [Errno 2] No such file or directory: '{files['missing']}'\n"
         assert call(capsys, files, argv) == (2, "", want)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cover", "{net}"], ["upset", "normalize", "{vec_b}"], ["seq", "good-pair", "{seq_good}"]],
+)
+def test_crlf_file_reads_as_lf(capsys, files, tmp_path, argv):
+    """A file with CRLF line ends gives the same answer, byte for byte."""
+    crlf = dict(files)
+    for name in files:
+        if "{" + name + "}" in argv:
+            path = tmp_path / f"{name}.crlf"
+            path.write_bytes(BLOCKS[name].replace("\n", "\r\n").encode())
+            crlf[name] = str(path)
+    assert call(capsys, crlf, argv) == call(capsys, files, argv)
 
 
 @pytest.mark.parametrize("argv", DIMENSION)

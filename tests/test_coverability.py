@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 from operator import mul
 
@@ -519,8 +520,6 @@ def test_parse_net_skips_blanks_and_comments():
     assert q.net.places == 1 and q.net.transitions == ()
 
 
-_SPACE = st.text(" \t", max_size=2)
-_GAP = st.text(" \t", min_size=1, max_size=3)
 _COMMENT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=8)
 _NAME = st.text(
     st.characters(min_codepoint=33, max_codepoint=126, blacklist_characters="#"),
@@ -530,9 +529,12 @@ _NAME = st.text(
 
 
 @st.composite
-def net_texts(draw):
+def net_texts(draw, blanks=" \t"):
     """A random query and a text for it: spacing, blank lines, comments,
-    leading zeros, and initial/target anywhere, before places too."""
+    leading zeros, and initial/target anywhere, before places too.
+    Words are separated by runs of the characters of blanks."""
+    space = st.text(blanks, max_size=2)
+    gap = st.text(blanks, min_size=1, max_size=3)
     m = draw(st.integers(1, 4))
     vec = st.tuples(*[st.integers(0, 12)] * m)
 
@@ -541,9 +543,9 @@ def net_texts(draw):
         return "(" + ",".join(digits) + ")"
 
     def line(*words):
-        text = draw(_SPACE) + "".join(w + draw(_GAP) for w in words)
+        text = draw(space) + "".join(w + draw(gap) for w in words)
         if draw(st.booleans()):
-            text = text.rstrip(" \t") + draw(_SPACE) + "#" + draw(_COMMENT)
+            text = text.rstrip(blanks) + draw(space) + "#" + draw(_COMMENT)
         return text
 
     pairs = draw(st.lists(st.tuples(_NAME, vec, vec), max_size=4))
@@ -554,7 +556,7 @@ def net_texts(draw):
     for head, v in (("initial", initial), ("target", target)):
         lines.insert(draw(st.integers(0, len(lines))), line(head, write(v)))
     for _ in range(draw(st.integers(0, 3))):
-        blank = draw(st.sampled_from(["", " \t", "#" + draw(_COMMENT)]))
+        blank = draw(st.sampled_from(["", draw(gap), "#" + draw(_COMMENT)]))
         lines.insert(draw(st.integers(0, len(lines))), blank)
     net = Vas(m, tuple(Transition(n, c, p) for n, c, p in pairs))
     text = "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
@@ -566,6 +568,37 @@ def net_texts(draw):
 def test_parse_net_accepts_every_well_formed_text(case):
     q, text = case
     assert parse_net(text) == q
+
+
+# every character that is whitespace but not a line break
+_BLANKS = (
+    "\t\x1f \xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + "\u202f\u205f\u3000"
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(net_texts(_BLANKS), st.data())
+def test_parse_net_reports_the_column_of_a_broken_vector(case, data):
+    """A vector broken in a text spaced with any blanks is reported at
+    the line and column where the regex \\S+ finds it."""
+    _, text = case
+    lines = text.split("\n")
+    vectors = []  # (line index, match of a vector word)
+    for i, line in enumerate(lines):
+        words = list(re.finditer(r"\S+", line.split("#", 1)[0]))
+        head = words[0].group() if words else None
+        at = {"transition": (3, 5), "initial": (1,), "target": (1,)}.get(head, ())
+        vectors += [(i, words[k]) for k in at]
+    i, m = data.draw(st.sampled_from(vectors))
+    broken = "(x" + m.group()[1:]
+    lines[i] = lines[i][: m.start()] + broken + lines[i][m.end() :]
+    with pytest.raises(NetParseError) as err:
+        parse_net("\n".join(lines))
+    item = broken[1:-1].split(",")[0]
+    assert str(err.value) == (
+        f"line {i + 1}, column {m.start() + 1}: "
+        f"bad vector component {item!r} in {broken!r}"
+    )
 
 
 # (text, fragment, exact message). The fragment names the branch and
