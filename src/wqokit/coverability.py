@@ -28,7 +28,9 @@ All generators have one dimension, so b <= c with b != c puts b first
 in that order: no candidate is evicted by a later one of the same
 round, and every insertion is a generator the round keeps. Every round
 yields the same upward closed set as renormalizing the whole basis
-would, so verdicts, round counts and bases are unchanged.
+would, so verdicts, round counts and bases are unchanged. A pre-image
+is computed only on the places the transition reads or changes; it
+copies every other coordinate from its generator.
 
 The antichain is a set of generators, indexed by a coordinate trie (the
 covering sharing trees of Delzanno, Raskin and Van Begin, 2004, with
@@ -145,14 +147,26 @@ def _delta(t: Transition) -> IntVec:
     return tuple(map(sub, t.produce, t.consume))
 
 
-def _pre(g: NatVec, consume: NatVec, delta: IntVec) -> NatVec:
-    """Least marking from which firing (consume, delta) lands above g.
+def _moves(t: Transition) -> list[tuple[int, int, int]]:
+    """(place, produce - consume, consume) at each place that t reads or changes."""
+    pairs = enumerate(zip(t.consume, t.produce))
+    return [(i, p - k, k) for i, (k, p) in pairs if k or p]
+
+
+def _pre(g: NatVec, moves: list[tuple[int, int, int]]) -> NatVec:
+    """Least marking from which firing the transition of moves lands above g.
 
     Firing from v requires v >= consume and yields v + delta, so the least
     such v is max(g - delta, consume), componentwise; consume >= 0 keeps
-    it natural. The caller has checked the dimensions.
+    it natural. That is g itself at every place the transition neither
+    reads nor changes, so only the places of moves are computed. The
+    caller has checked the dimensions.
     """
-    return tuple([x - d if x - d > k else k for x, d, k in zip(g, delta, consume)])
+    c = list(g)
+    for i, d, k in moves:
+        x = g[i] - d
+        c[i] = x if x > k else k
+    return tuple(c)
 
 
 def pre_step(x: UpSet, t: Transition) -> UpSet:
@@ -160,8 +174,8 @@ def pre_step(x: UpSet, t: Transition) -> UpSet:
     # a vector upset has one dimension, so the first generator speaks for all
     if x.gens:
         _require_same_dim(x.gens[0], t.consume)
-    delta = _delta(t)
-    return dickson_upset(_pre(g, t.consume, delta) for g in x.gens)
+    moves = _moves(t)
+    return dickson_upset(_pre(g, moves) for g in x.gens)
 
 
 def _add(root: dict, c: NatVec, leaf: int, basis: set) -> bool:
@@ -211,19 +225,27 @@ def _evict_above(node: dict, c: NatVec, i: int, leaf: int, basis: set) -> None:
     """Delete the generators under node, at depth i, >= c from coordinate i on.
 
     They leave basis too. Only keys >= c[i] can start such a path. Nodes
-    left empty are deleted too.
+    left empty are deleted too. A dict cannot change while it is walked,
+    so the keys to delete are collected; the empty tuple they start from
+    is a constant, so a node that loses nothing builds nothing.
     """
     ci = c[i]
+    dead = ()
     if i == leaf:
         z = c[-1]
-        for k in [k for k, g in node.items() if k >= ci and g[-1] >= z]:
+        for k, g in node.items():
+            if k >= ci and g[-1] >= z:
+                dead += (k,)
+        for k in dead:
             basis.remove(node.pop(k))
         return
-    for k in [k for k in node if k >= ci]:
-        child = node[k]
-        _evict_above(child, c, i + 1, leaf, basis)
-        if not child:
-            del node[k]
+    for k, child in node.items():
+        if k >= ci:
+            _evict_above(child, c, i + 1, leaf, basis)
+            if not child:
+                dead += (k,)
+    for k in dead:
+        del node[k]
 
 
 def backward_cover(
@@ -247,7 +269,7 @@ def backward_cover(
     """
     if max_iterations is not None and max_iterations < 0:
         raise ValueError("max_iterations must be at least 0")
-    steps = [(t.consume, _delta(t)) for t in q.net.transitions]
+    steps = [_moves(t) for t in q.net.transitions]
     root: dict = {}
     leaf = max(q.net.places - 2, 0)
     basis: set = set()
@@ -268,8 +290,8 @@ def backward_cover(
         candidates = {
             c
             for g in frontier
-            for consume, delta in steps
-            if not all(map(le, g, c := _pre(g, consume, delta)))
+            for moves in steps
+            if not all(map(le, g, c := _pre(g, moves)))
         }
         # b <= c, b != c sorts b first: no candidate evicts one inserted before it
         frontier = [c for c in sorted(candidates - basis) if _add(root, c, leaf, basis)]

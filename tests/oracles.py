@@ -132,6 +132,31 @@ def pre_points(gens, consume, produce, universe) -> frozenset:
     return frozenset(out)
 
 
+def forward_covers(transitions, initial, target, bound) -> bool:
+    """Whether plain firing from initial, inside the box below bound, covers target.
+
+    transitions are (consume, produce) pairs. A transition fires from a
+    marking that dominates its consume vector; markings outside the box
+    are never entered, so a false answer holds only within the box.
+    """
+    seen = {tuple(initial)}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for m in frontier:
+            if vec_le(target, m):
+                return True
+            for consume, produce in transitions:
+                if not vec_le(consume, m):
+                    continue
+                succ = tuple(x - c + p for x, c, p in zip(m, consume, produce))
+                if vec_le(succ, bound) and succ not in seen:
+                    seen.add(succ)
+                    fresh.append(succ)
+        frontier = fresh
+    return False
+
+
 def rand_vec(rng, m: int, hi: int) -> tuple:
     return tuple(rng.randint(0, hi) for _ in range(m))
 

@@ -3,7 +3,9 @@
 Run `pytest tests/test_acceptance.py -v -s` for one [PASS]/[FAIL] line
 per criterion. Each check prints its verdict before asserting, so the
 report survives a failure. Criteria compare the library against the
-independent reference implementations in oracles.py.
+independent reference implementations in oracles.py. One more test,
+which is no criterion, checks that acceptance 7's forward referee and
+the library's forward_cover_oracle agree on that criterion's nets.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from oracles import (
     box,
     embeds_recursive,
     first_good_pair,
+    forward_covers,
     phi_slice_scan,
     rand_letters,
     rand_vec,
@@ -319,22 +322,32 @@ def test_6_quasi_embedding_suite():
     )
 
 
-def test_7_coverability_backward_vs_forward():
-    t0 = time.perf_counter()
+def _acceptance_7_nets():
+    """The 300 random queries of acceptance 7, 1-3 places, entries 0-2."""
     rng = random.Random(77)
-    violations = 0
-    unsound = 0
-    compared = 0
     for _ in range(300):
         m = rng.randint(1, 3)
         ts = tuple(
             Transition(f"t{i}", rand_vec(rng, m, 2), rand_vec(rng, m, 2))
             for i in range(rng.randint(1, 3))
         )
-        q = CoverQuery(Vas(m, ts), rand_vec(rng, m, 2), rand_vec(rng, m, 2))
+        yield CoverQuery(Vas(m, ts), rand_vec(rng, m, 2), rand_vec(rng, m, 2))
+
+
+def _forward_referee(q: CoverQuery, bound: tuple) -> bool:
+    steps = [(t.consume, t.produce) for t in q.net.transitions]
+    return forward_covers(steps, q.initial, q.target, bound)
+
+
+def test_7_coverability_backward_vs_forward():
+    t0 = time.perf_counter()
+    violations = 0
+    unsound = 0
+    compared = 0
+    for q in _acceptance_7_nets():
         result = backward_cover(q, max_iterations=10_000)
-        bound = (6,) * m
-        fwd = forward_cover_oracle(q, bound)
+        bound = (6,) * q.net.places
+        fwd = _forward_referee(q, bound)
         if fwd and not result.coverable:
             unsound += 1
         if all(vec_le(g, bound) for g in result.basis.gens):
@@ -362,6 +375,12 @@ def test_7_coverability_backward_vs_forward():
         and compared >= 100
         and elapsed < 60.0,
     )
+
+
+def test_7_forward_referee_agrees_with_the_library_forward_oracle():
+    for q in _acceptance_7_nets():
+        bound = (6,) * q.net.places
+        assert _forward_referee(q, bound) == forward_cover_oracle(q, bound), q
 
 
 def test_8_sequence_analyses():

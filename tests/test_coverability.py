@@ -308,9 +308,9 @@ SELF_COVERING = {
 
 @pytest.mark.parametrize("q", SELF_COVERING.values(), ids=SELF_COVERING)
 def test_backward_cover_matches_round_by_round_on_self_covering_pre_images(q):
-    steps = [(t.consume, coverability._delta(t)) for t in q.net.transitions]
+    steps = [coverability._moves(t) for t in q.net.transitions]
     gens = backward_cover(q).basis.gens
-    assert any(leq(g, coverability._pre(g, *s)) for g in gens for s in steps)
+    assert any(leq(g, coverability._pre(g, s)) for g in gens for s in steps)
     _assert_matches_round_by_round(q)
 
 
@@ -326,8 +326,8 @@ def _assert_no_same_round_eviction(q: CoverQuery) -> None:
     adding = 0  # the round of the vector being added
     pre, add, evict = coverability._pre, coverability._add, coverability._evict_above
 
-    def recording_pre(g, consume, delta):
-        c = pre(g, consume, delta)
+    def recording_pre(g, moves):
+        c = pre(g, moves)
         made_from[c] = g
         return c
 
@@ -375,12 +375,12 @@ def _assert_no_candidate_only_above_its_sources(q: CoverQuery) -> None:
     adding = False
     pre, add = coverability._pre, coverability._add
 
-    def recording_pre(g, consume, delta):
+    def recording_pre(g, moves):
         nonlocal adding
         if adding:
             sources.clear()
             adding = False
-        c = pre(g, consume, delta)
+        c = pre(g, moves)
         sources.setdefault(c, []).append(g)
         return c
 
@@ -405,6 +405,62 @@ def test_chain6_adds_no_candidate_that_lies_above_all_its_sources():
 @given(small_queries())
 def test_backward_cover_adds_no_candidate_that_lies_above_all_its_sources(q):
     _assert_no_candidate_only_above_its_sources(q)
+
+
+def _saturation_work(q: CoverQuery) -> tuple:
+    """(_pre calls, _add calls, inserted, dropped, evicted) of backward_cover(q)."""
+    pres = adds = inserted = evicted = 0
+    pre, add = coverability._pre, coverability._add
+
+    def counting_pre(*args):
+        nonlocal pres
+        pres += 1
+        return pre(*args)
+
+    def counting_add(root, c, last, basis):
+        nonlocal adds, inserted, evicted
+        before = len(basis)
+        added = add(root, c, last, basis)
+        adds += 1
+        inserted += added
+        evicted += before + added - len(basis)
+        return added
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coverability, "_pre", counting_pre)
+        mp.setattr(coverability, "_add", counting_add)
+        backward_cover(q)
+    return pres, adds, inserted, adds - inserted, evicted
+
+
+@pytest.mark.parametrize(
+    "n, work",
+    [(6, (3_335, 1_026, 667, 359, 412)), (7, (39_432, 10_649, 6_572, 4_077, 4_489))],
+)
+def test_chain_saturation_work_is_pinned(n, work):
+    # hardware-independent counts: a change to constant factors keeps them
+    q = chain(n, (1,) + (0,) * (n - 1), 2 ** (n - 1) + 1)
+    assert _saturation_work(q) == work
+
+
+@st.composite
+def transitions_and_markings(draw):
+    m = draw(st.integers(1, 5))
+    vec = st.tuples(*[st.integers(0, 3)] * m)
+    # all-zero and identity transitions among them
+    consume = draw(st.just((0,) * m) | vec)
+    produce = draw(st.sampled_from([(0,) * m, consume]) | vec)
+    return Transition("t", consume, produce), draw(vec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(transitions_and_markings())
+def test_pre_of_moves_is_the_least_marking_that_fires_above_g(case):
+    t, g = case
+    want = tuple(max(x - (p - k), k) for x, k, p in zip(g, t.consume, t.produce))
+    assert coverability._pre(g, coverability._moves(t)) == want
+    zero = Transition("z", (0,) * len(g), (0,) * len(g))
+    assert coverability._moves(zero) == []
 
 
 def _answer(q: CoverQuery, **caps):
