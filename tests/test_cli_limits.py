@@ -1,7 +1,8 @@
 """Inputs the CLI refuses before doing any work: oversized `embed check`
 ranges, letter indices that would need a huge inferred alphabet, and
 `cover --oracle-bound` values the oracle cannot use or whose box holds
-too many reachable markings."""
+too many reachable markings, and nets with more places than the
+saturation's trie takes."""
 
 import pytest
 
@@ -95,3 +96,33 @@ def test_large_letter_index_fails_before_the_alphabet_is_built(
 def test_largest_letter_index_within_the_limit(capsys):
     assert run(["order", "leq-e", "[99999]", "[0,99999]"]) == 0
     assert capsys.readouterr() == ("true\n", "")
+
+
+def wide_net(n: int) -> str:
+    """n places; one transition moves a token from the first to the last."""
+    zeros = ",".join(["0"] * (n - 2))
+    return (
+        f"places {n}\n"
+        f"transition t consume (1,{zeros},0) produce (0,{zeros},1)\n"
+        f"initial (0,{zeros},0)\n"
+        f"target (0,{zeros},2)\n"
+    )
+
+
+def test_net_over_the_place_limit_fails_before_printing(tmp_path, capsys):
+    net = tmp_path / "wide.net"
+    net.write_text(wide_net(1200))
+    assert run(["cover", str(net)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: the net has 1200 places, over the limit of 500\n"
+    )
+
+
+def test_net_at_the_place_limit_is_answered(tmp_path, capsys):
+    net = tmp_path / "wide.net"
+    net.write_text(wide_net(500))
+    assert run(["cover", str(net)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("coverable: false\niterations: 2\nupset basis {\n")
+    assert out.count("\n  (") == 3

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from wqokit import upset
 from wqokit import (
     INF,
     Alphabet,
@@ -52,15 +53,39 @@ def test_normalize_examples():
     assert tuple(str(g) for g in x.gens) == ("ab", "ba")
 
 
-def test_normalize_is_canonical_and_idempotent():
+def test_normalize_is_canonical_and_idempotent(monkeypatch):
     rng = random.Random(15)
-    for _ in range(300):
-        gens = [rand_vec(rng, 2, 4) for _ in range(rng.randint(0, 5))]
+
+    def check_vectors(gens):
         x = dickson_upset(gens)
         assert dickson_upset(x.gens) == x
         assert dickson_upset(reversed(gens)) == x
         assert set(x.gens) == minimal_elements(gens, vec_le)
         assert list(x.gens) == sorted(x.gens, key=lambda g: (len(g), g))
+
+    for _ in range(300):
+        check_vectors([rand_vec(rng, 2, 4) for _ in range(rng.randint(0, 5))])
+    # dimension 1; the empty vector and a dimension too wide for the trie
+    # are compared pairwise
+    pad = (0,) * upset._MAX_TRIE_DIM
+    for _ in range(100):
+        check_vectors([rand_vec(rng, 1, 4) for _ in range(rng.randint(0, 5))])
+        check_vectors([rand_vec(rng, 2, 4) + pad for _ in range(rng.randint(0, 5))])
+    check_vectors([(), ()])
+
+    added: list = []
+    add = upset._add
+
+    def recording_add(root, c, leaf, basis):
+        added.append(c)
+        return add(root, c, leaf, basis)
+
+    monkeypatch.setattr(upset, "_add", recording_add)
+    assert dickson_upset([(2, 2), (1, 2), (2, 1)]).gens == ((1, 2), (2, 1))
+    assert added == [(1, 2), (2, 1), (2, 2)]
+    assert dickson_upset([(2, 2) + pad, (1, 2) + pad]).gens == ((1, 2) + pad,)
+    assert dickson_upset([()]).gens == ((),)
+    assert len(added) == 3
 
     abc = Alphabet.from_letters("abc")
 
@@ -213,6 +238,21 @@ def test_mixed_orders_and_dimensions_rejected():
         dickson_upset([(1, 2)]).union(wup("ab"))
     with pytest.raises(DimensionMismatch):
         dickson_upset([(1, 2), (1, 2, 3)])
+    # the first vector in canonical order and the first of another dimension
+    mixes = [
+        ([(1, 2, 3, 4), (1, 2, 3), (1, 2)], "(1,2) is 2-dimensional, (1,2,3) is 3-dimensional"),
+        ([(5,), (), (4,)], "() is 0-dimensional, (4) is 1-dimensional"),
+        ([(3,), (2, 0), (1, 1)], "(3) is 1-dimensional, (1,1) is 2-dimensional"),
+    ]
+    for gens, message in mixes:
+        with pytest.raises(DimensionMismatch) as err:
+            dickson_upset(gens)
+        assert str(err.value) == "dimension mismatch: " + message
+    wide = (0,) * (upset._MAX_TRIE_DIM + 1)
+    with pytest.raises(DimensionMismatch, match=r"is 501-dimensional, .* is 502-dimensional$"):
+        dickson_upset([wide + (0,), wide])
+    with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: \(1\) is 1-dim"):
+        dickson_upset([(1,)]).union(dickson_upset([wide]))
 
 
 def test_upsets_hash_by_canonical_form():
