@@ -32,10 +32,23 @@ would, so verdicts, round counts and bases are unchanged. A pre-image
 is computed only on the places the transition reads or changes; it
 copies every other coordinate from its generator.
 
-The antichain is upset._add's coordinate trie over a set of generators;
-the set is the one record of the basis. The limit is the basis itself:
-it can grow doubly exponentially in the net (Rackoff 1978), and every
-candidate still meets the generators it cannot rule out by a key.
+The antichain is a set of generators, indexed by a coordinate trie (the
+covering sharing trees of Delzanno, Raskin and Van Begin, 2004, with
+shared prefixes only): nested dicts with one level per place but the
+last. The deepest level maps the next-to-last coordinate to the
+generator itself, whose last coordinate is then compared directly. It
+holds one generator per key, because two generators that agree on all
+coordinates but the last are comparable and the basis is an antichain.
+b <= c holds iff b[i] <= c[i] at every level and b[-1] <= c[-1], so the
+search for a generator below c enters only the children keyed <= c[i],
+and eviction enters only those keyed >= c[i]; a whole subtrie is
+skipped on one comparison of its key. Eviction deletes the nodes it
+empties and removes their generators from the set, which stays the one
+record of the basis: its size, its members and the result. The walks
+recurse once per place, so a net may have at most _MAX_PLACES places.
+Past that, the limit is the basis itself: it can grow doubly
+exponentially in the net (Rackoff 1978), and every candidate still
+meets the generators it cannot rule out by a key.
 """
 
 from __future__ import annotations
@@ -48,7 +61,12 @@ from typing import NamedTuple
 from .dickson import DimensionMismatch, IntVec, NatVec, _require_same_dim, _Value
 from .dickson import format_vec, is_decimal, parse_vec
 from .dickson import leq as vec_leq
-from .upset import _MAX_TRIE_DIM, UpSet, _add, _antichain_upset, dickson_upset
+from .upset import UpSet, _antichain_upset, dickson_upset
+
+# the trie's walks take one frame per place on top of their caller's; the
+# deepest caller stack measured at the default recursion limit of 1000 is
+# 38 frames (under pytest), so 500 places leaves over 400 spare
+_MAX_PLACES = 500
 
 
 class SaturationLimit(RuntimeError):
@@ -166,6 +184,76 @@ def pre_step(x: UpSet, t: Transition) -> UpSet:
     return dickson_upset(_pre(g, moves) for g in x.gens)
 
 
+def _add(root: dict, c: NatVec, leaf: int, basis: set) -> bool:
+    """Add c to basis unless a generator lies below it; evict those above it.
+
+    root is the coordinate trie of basis: nested dicts keyed by the first
+    places - 1 coordinates, no node empty. The deepest level, at depth
+    leaf = max(places - 2, 0), maps c[leaf] to the generator c itself;
+    with one place, the root is that level, keyed by the only coordinate.
+    It holds one generator per key: two vectors that agree on every
+    coordinate but the last are comparable, and the basis is an
+    antichain. So the entry for c is never overwritten: a generator
+    already there is either below c, which refuses c, or above it, and
+    evicted first. Returns whether c was added.
+    """
+    if _has_below(root, c, 0, leaf):
+        return False
+    _evict_above(root, c, 0, leaf, basis)
+    node = root
+    for x in c[:leaf]:
+        node = node.setdefault(x, {})
+    node[c[leaf]] = c
+    basis.add(c)
+    return True
+
+
+def _has_below(node: dict, c: NatVec, i: int, leaf: int) -> bool:
+    """Whether some generator under node, at depth i, is <= c from coordinate i on.
+
+    Only keys <= c[i] can start such a path, so no other child is entered;
+    at the leaf level the key and the generator's last coordinate decide.
+    """
+    ci = c[i]
+    if i == leaf:
+        z = c[-1]
+        for k, g in node.items():
+            if k <= ci and g[-1] <= z:
+                return True
+        return False
+    for k, child in node.items():
+        if k <= ci and _has_below(child, c, i + 1, leaf):
+            return True
+    return False
+
+
+def _evict_above(node: dict, c: NatVec, i: int, leaf: int, basis: set) -> None:
+    """Delete the generators under node, at depth i, >= c from coordinate i on.
+
+    They leave basis too. Only keys >= c[i] can start such a path. Nodes
+    left empty are deleted too. A dict cannot change while it is walked,
+    so the keys to delete are collected; the empty tuple they start from
+    is a constant, so a node that loses nothing builds nothing.
+    """
+    ci = c[i]
+    dead = ()
+    if i == leaf:
+        z = c[-1]
+        for k, g in node.items():
+            if k >= ci and g[-1] >= z:
+                dead += (k,)
+        for k in dead:
+            basis.remove(node.pop(k))
+        return
+    for k, child in node.items():
+        if k >= ci:
+            _evict_above(child, c, i + 1, leaf, basis)
+            if not child:
+                dead += (k,)
+    for k in dead:
+        del node[k]
+
+
 def backward_cover(
     q: CoverQuery,
     max_iterations: int | None = None,
@@ -183,15 +271,14 @@ def backward_cover(
     Raises SaturationLimit when max_iterations rounds have added
     something and the saturation has neither covered the initial marking
     nor reached the fixpoint, when a round ends with more than max_basis
-    generators, or when the net has more than _MAX_TRIE_DIM places, too
-    many for the trie's walks, which recurse once per place; raises
+    generators, or when the net has more than _MAX_PLACES places; raises
     ValueError for a negative max_iterations.
     """
     if max_iterations is not None and max_iterations < 0:
         raise ValueError("max_iterations must be at least 0")
-    if q.net.places > _MAX_TRIE_DIM:
+    if q.net.places > _MAX_PLACES:
         raise SaturationLimit(
-            f"the net has {q.net.places} places, over the limit of {_MAX_TRIE_DIM}"
+            f"the net has {q.net.places} places, over the limit of {_MAX_PLACES}"
         )
     steps = [_moves(t) for t in q.net.transitions]
     root: dict = {}

@@ -5,23 +5,6 @@ sorted into a canonical order, so two values denote the same upward
 closed set exactly when their representations compare equal. The carrier
 order is a plain binary predicate; vector- and word-specific operations
 (intersection, slicing, letter quotients) live alongside as functions.
-
-A vector upset of dimension 1 to _MAX_TRIE_DIM is normalized through a
-coordinate trie (the covering sharing trees of Delzanno, Raskin and Van
-Begin, 2004, with shared prefixes only), the same antichain that
-backward saturation keeps: nested dicts with one level per coordinate
-but the last. The deepest level maps the next-to-last coordinate to the
-generator itself, whose last coordinate is then compared directly. It
-holds one generator per key, because two generators that agree on all
-coordinates but the last are comparable and the basis is an antichain.
-b <= c holds iff b[i] <= c[i] at every level and b[-1] <= c[-1], so the
-search for a generator below c enters only the children keyed <= c[i],
-and eviction enters only those keyed >= c[i]; a whole subtrie is
-skipped on one comparison of its key. Eviction deletes the nodes it
-empties and removes their generators from the set the trie indexes. The
-walks recurse once per coordinate, hence the bound on the dimension;
-words, labeled words, the empty vector and wider vectors are compared
-pairwise.
 """
 
 from __future__ import annotations
@@ -30,17 +13,12 @@ import math
 import re
 from typing import Any, Callable, Iterable
 
-from .dickson import DimensionMismatch, NatVec, _require_same_dim, _Value
-from .dickson import format_vec, join
+from .dickson import DimensionMismatch, NatVec, _Value, format_vec, join
 from .dickson import leq as vec_leq
 from .words import LabeledWord, Word, labeled_leq, leq_e
 
 ExtendedNat = int | float
 INF: ExtendedNat = math.inf
-
-# the widest vector the trie takes: its walks recurse once per coordinate,
-# so this leaves room under the default recursion limit of 1000
-_MAX_TRIE_DIM = 500
 
 
 def _key(g):
@@ -63,92 +41,11 @@ def _show(g) -> str:
 def _minimal(leq: Callable[[Any, Any], bool], elems: Iterable) -> list:
     # one pass in _key order: whatever lies strictly below x sorts before
     # it, and whatever lies below a dropped element lies below a kept one
-    xs = sorted(dict.fromkeys(elems), key=_key)
-    if leq is vec_leq and xs:
-        # _key sorts by dimension first; name the first vector and the
-        # first of another dimension, as the pairwise loop would
-        m = len(xs[0])
-        if len(xs[-1]) != m:
-            _require_same_dim(xs[0], next(x for x in xs if len(x) != m))
-        if 0 < m <= _MAX_TRIE_DIM:
-            # in this order nothing is evicted: every vector added is kept
-            root, basis = {}, set()
-            return [c for c in xs if _add(root, c, max(m - 2, 0), basis)]
     kept: list = []
-    for x in xs:
+    for x in sorted(dict.fromkeys(elems), key=_key):
         if not any(leq(y, x) for y in kept):
             kept.append(x)
     return kept
-
-
-def _add(root: dict, c: NatVec, leaf: int, basis: set) -> bool:
-    """Add c to basis unless a generator lies below it; evict those above it.
-
-    root is the coordinate trie of basis: nested dicts keyed by the first
-    places - 1 coordinates, no node empty. The deepest level, at depth
-    leaf = max(places - 2, 0), maps c[leaf] to the generator c itself;
-    with one place, the root is that level, keyed by the only coordinate.
-    It holds one generator per key: two vectors that agree on every
-    coordinate but the last are comparable, and the basis is an
-    antichain. So the entry for c is never overwritten: a generator
-    already there is either below c, which refuses c, or above it, and
-    evicted first. Returns whether c was added.
-    """
-    if _has_below(root, c, 0, leaf):
-        return False
-    _evict_above(root, c, 0, leaf, basis)
-    node = root
-    for x in c[:leaf]:
-        node = node.setdefault(x, {})
-    node[c[leaf]] = c
-    basis.add(c)
-    return True
-
-
-def _has_below(node: dict, c: NatVec, i: int, leaf: int) -> bool:
-    """Whether some generator under node, at depth i, is <= c from coordinate i on.
-
-    Only keys <= c[i] can start such a path, so no other child is entered;
-    at the leaf level the key and the generator's last coordinate decide.
-    """
-    ci = c[i]
-    if i == leaf:
-        z = c[-1]
-        for k, g in node.items():
-            if k <= ci and g[-1] <= z:
-                return True
-        return False
-    for k, child in node.items():
-        if k <= ci and _has_below(child, c, i + 1, leaf):
-            return True
-    return False
-
-
-def _evict_above(node: dict, c: NatVec, i: int, leaf: int, basis: set) -> None:
-    """Delete the generators under node, at depth i, >= c from coordinate i on.
-
-    They leave basis too. Only keys >= c[i] can start such a path. Nodes
-    left empty are deleted too. A dict cannot change while it is walked,
-    so the keys to delete are collected; the empty tuple they start from
-    is a constant, so a node that loses nothing builds nothing.
-    """
-    ci = c[i]
-    dead = ()
-    if i == leaf:
-        z = c[-1]
-        for k, g in node.items():
-            if k >= ci and g[-1] >= z:
-                dead += (k,)
-        for k in dead:
-            basis.remove(node.pop(k))
-        return
-    for k, child in node.items():
-        if k >= ci:
-            _evict_above(child, c, i + 1, leaf, basis)
-            if not child:
-                dead += (k,)
-    for k in dead:
-        del node[k]
 
 
 class UpSet(_Value):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqokit import coverability, upset
+from wqokit import coverability
 from wqokit.coverability import CoverResult
 from wqokit import (
     CoverQuery,
@@ -191,7 +191,7 @@ def test_backward_cover_refuses_more_places_than_the_trie_takes():
         t = Transition("t", (1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,))
         return CoverQuery(Vas(n, (t,)), (0,) * n, (0,) * (n - 1) + (2,))
 
-    n = upset._MAX_TRIE_DIM
+    n = coverability._MAX_PLACES
     r = backward_cover(net(n))
     assert (r.coverable, r.iterations) == (False, 2)
     zeros = (0,) * (n - 2)
@@ -340,7 +340,7 @@ def _assert_no_same_round_eviction(q: CoverQuery) -> None:
     round_of: dict = {}  # inserted vector -> the round that inserted it
     made_from: dict = {}  # candidate -> the generator it was last made from
     adding = 0  # the round of the vector being added
-    pre, add, evict = coverability._pre, coverability._add, upset._evict_above
+    pre, add, evict = coverability._pre, coverability._add, coverability._evict_above
 
     def recording_pre(g, moves):
         c = pre(g, moves)
@@ -366,7 +366,7 @@ def _assert_no_same_round_eviction(q: CoverQuery) -> None:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coverability, "_pre", recording_pre)
         mp.setattr(coverability, "_add", recording_add)
-        mp.setattr(upset, "_evict_above", recording_evict)
+        mp.setattr(coverability, "_evict_above", recording_evict)
         result = backward_cover(q)
     assert max(round_of.values()) == result.iterations
 
@@ -526,7 +526,7 @@ def test_trie_keeps_the_minimal_elements(run):
     basis: set = set()
     for k, c in enumerate(vecs):
         kept = set(basis)
-        added = upset._add(root, c, leaf, basis)
+        added = coverability._add(root, c, leaf, basis)
         assert added == (not any(leq(b, c) for b in kept))
         want = minimal_elements(vecs[: k + 1], leq)
         paths = list(trie_paths(root, 0, leaf, m))

@@ -3,7 +3,6 @@ from itertools import product
 
 import pytest
 
-from wqokit import upset
 from wqokit import (
     INF,
     Alphabet,
@@ -53,7 +52,7 @@ def test_normalize_examples():
     assert tuple(str(g) for g in x.gens) == ("ab", "ba")
 
 
-def test_normalize_is_canonical_and_idempotent(monkeypatch):
+def test_normalize_is_canonical_and_idempotent():
     rng = random.Random(15)
 
     def check_vectors(gens):
@@ -65,27 +64,12 @@ def test_normalize_is_canonical_and_idempotent(monkeypatch):
 
     for _ in range(300):
         check_vectors([rand_vec(rng, 2, 4) for _ in range(rng.randint(0, 5))])
-    # dimension 1; the empty vector and a dimension too wide for the trie
-    # are compared pairwise
-    pad = (0,) * upset._MAX_TRIE_DIM
+    # dimension 1, 1,202 and 0
+    pad = (0,) * 1200
     for _ in range(100):
         check_vectors([rand_vec(rng, 1, 4) for _ in range(rng.randint(0, 5))])
         check_vectors([rand_vec(rng, 2, 4) + pad for _ in range(rng.randint(0, 5))])
     check_vectors([(), ()])
-
-    added: list = []
-    add = upset._add
-
-    def recording_add(root, c, leaf, basis):
-        added.append(c)
-        return add(root, c, leaf, basis)
-
-    monkeypatch.setattr(upset, "_add", recording_add)
-    assert dickson_upset([(2, 2), (1, 2), (2, 1)]).gens == ((1, 2), (2, 1))
-    assert added == [(1, 2), (2, 1), (2, 2)]
-    assert dickson_upset([(2, 2) + pad, (1, 2) + pad]).gens == ((1, 2) + pad,)
-    assert dickson_upset([()]).gens == ((),)
-    assert len(added) == 3
 
     abc = Alphabet.from_letters("abc")
 
@@ -248,8 +232,8 @@ def test_mixed_orders_and_dimensions_rejected():
         with pytest.raises(DimensionMismatch) as err:
             dickson_upset(gens)
         assert str(err.value) == "dimension mismatch: " + message
-    wide = (0,) * (upset._MAX_TRIE_DIM + 1)
-    with pytest.raises(DimensionMismatch, match=r"is 501-dimensional, .* is 502-dimensional$"):
+    wide = (0,) * 1200
+    with pytest.raises(DimensionMismatch, match=r"is 1200-dimensional, .* is 1201-dimensional$"):
         dickson_upset([wide + (0,), wide])
     with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: \(1\) is 1-dim"):
         dickson_upset([(1,)]).union(dickson_upset([wide]))
