@@ -12,6 +12,14 @@ its whole answer or nothing, and an input error exits 2 with empty stdout.
 The one exception is a `cover --oracle-bound` disagreement: it exits 2
 with the answer on stdout and the error on stderr.
 
+run() parses argv with the parser of the verb that its leading words
+name (`cover`, `upset member`, ...), and the top-level parser reports
+what that parser leaves over, as its own parse_args would. So the
+namespace, exit code and messages are the top-level parser's, without
+its pass over argv, which only looks up the verb. The top-level parser
+stays for argv that names no verb (none, `-h`, `upset -h`, an unknown
+verb, a leading `--`): only it can answer those.
+
 _read reads an input file whole with open()'s defaults: the locale's
 encoding and universal newlines, so a file with CRLF line ends reads as
 its LF copy, and a path that cannot be read fails with the OSError's own
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from functools import cache, partial
 from itertools import product
 
@@ -42,18 +51,25 @@ def _bool(value: bool) -> tuple[int, str]:
 _MAX_LETTERS = 10**5
 
 
-def _carrier(texts, alphabet_opt, letters=()) -> Alphabet | None:
+def _index_form(w: Word) -> str:
+    return "[" + ",".join(map(str, w.letters)) + "]"
+
+
+def _carrier(texts, alphabet_opt, letters=()) -> tuple[Alphabet | None, Callable]:
     """Decide vectors vs words from the pooled element texts.
 
-    Returns None for vectors, else the words' alphabet; vectors and words
-    cannot share a command. The --alphabet read by run() wins. Otherwise
+    Returns (None, upset._show) for vectors, else the words' alphabet and
+    how to print a word; vectors and words cannot share a command. The
+    --alphabet read by run() wins. Otherwise
     letter-form words, checked against the letter-form grammar of
     words.parse_word, pool their characters (sorted) with the letter
     arguments, and index-form words pool their indices; mixing the two
     forms needs the explicit flag. Index-form letters are named "1".."m",
     so letter arguments do not join them: such a name would read as a
     letter-form word. "[]" and blank texts carry no information. An
-    inferred index alphabet holds at most _MAX_LETTERS letters.
+    inferred index alphabet holds at most _MAX_LETTERS letters, and its
+    words print in index form, so a printed word reads back as itself;
+    every other word prints as upset._show prints it.
     """
     texts = [t.strip() for t in texts]
     if any(t.startswith("(") for t in texts):
@@ -61,9 +77,9 @@ def _carrier(texts, alphabet_opt, letters=()) -> Alphabet | None:
             raise CliError("cannot mix vectors and words in one command")
         if letters:
             raise CliError("letter arguments apply to word upsets only")
-        return None
+        return None, upset._show
     if alphabet_opt:
-        return alphabet_opt
+        return alphabet_opt, upset._show
     if not any(t.startswith("[") for t in texts):
         texts += [t.strip() for t in letters]
     informative = [t for t in texts if t not in ("", "[]")]
@@ -78,7 +94,7 @@ def _carrier(texts, alphabet_opt, letters=()) -> Alphabet | None:
     if plain:
         return Alphabet.from_letters(
             "".join(sorted({ch for t in plain for ch in t}))
-        )
+        ), upset._show
     top = 0
     for t in bracketed:
         for part in t[1:-1].split(","):
@@ -86,7 +102,7 @@ def _carrier(texts, alphabet_opt, letters=()) -> Alphabet | None:
                 top = max(top, int(part.strip()))
     if top >= _MAX_LETTERS:
         raise CliError(f"letter index {top} is over the limit of {_MAX_LETTERS - 1}")
-    return Alphabet.indexed(top + 1)
+    return Alphabet.indexed(top + 1), _index_form
 
 
 def _read(path: str) -> str:
@@ -102,7 +118,7 @@ def _parse_elem(alpha: Alphabet | None, text: str):
 
 
 def _upsets(ns, *paths, extra=(), letters=(), only=None):
-    """Read the blocks at paths; return (alphabet or None, one upset each).
+    """Read the blocks at paths; return (alphabet or None, printer, one upset each).
 
     The carrier is picked from the pooled texts (the generators plus the
     extra element or point) and checked against `only` before parsing;
@@ -110,11 +126,11 @@ def _upsets(ns, *paths, extra=(), letters=(), only=None):
     """
     blocks = [upset.parse_upset_block(_read(p))[1] for p in paths]
     texts = [t for toks in blocks for t in toks] + list(extra)
-    alpha = _carrier(texts, getattr(ns, "alphabet", None), letters)
+    alpha, show = _carrier(texts, getattr(ns, "alphabet", None), letters)
     if only and texts and only != ("vector" if alpha is None else "word"):
         raise CliError(f"{ns.op} is available for {only} upsets only")
     make = upset.dickson_upset if alpha is None else upset.word_upset
-    return alpha, [make([_parse_elem(alpha, t) for t in toks]) for toks in blocks]
+    return alpha, show, [make([_parse_elem(alpha, t) for t in toks]) for toks in blocks]
 
 
 # ---------------------------------------------------------------- verbs
@@ -125,7 +141,7 @@ def _cmd_order(ns) -> tuple[int, str]:
         a = dickson.parse_vec(ns.left)
         b = dickson.parse_vec(ns.right)
         return _bool(dickson.leq(a, b))
-    alpha = _carrier([ns.left, ns.right], ns.alphabet)
+    alpha = _carrier([ns.left, ns.right], ns.alphabet)[0]
     if alpha is None:
         raise CliError(f"{ns.relation} compares words, not vectors")
     u = words.parse_word(ns.left, alpha)
@@ -140,52 +156,54 @@ def _cmd_seq(ns) -> tuple[int, str]:
     texts = [t for t in texts if t]
     if not texts:
         raise CliError(f"no elements in {ns.file}")
-    alpha = _carrier(texts, ns.alphabet)
+    alpha, show = _carrier(texts, ns.alphabet)
     seq = [_parse_elem(alpha, t) for t in texts]
     leq = dickson.leq if alpha is None else words.leq_e
     pair = orders.find_good_pair(seq, leq)
     if pair is None:
         return 1, "bad"
     i, j = pair
-    return 0, f"good pair: {i} {j}\n  {upset._show(seq[i])} <= {upset._show(seq[j])}"
+    return 0, f"good pair: {i} {j}\n  {show(seq[i])} <= {show(seq[j])}"
 
 
 def _cmd_normalize(ns) -> tuple[int, str]:
-    return 0, upset.format_upset_block(_upsets(ns, ns.file)[1][0])
+    _, show, (x,) = _upsets(ns, ns.file)
+    return 0, upset.format_upset_block(x, show=show)
 
 
 def _cmd_member(ns) -> tuple[int, str]:
-    alpha, (x,) = _upsets(ns, ns.file, extra=[ns.element])
+    alpha, _, (x,) = _upsets(ns, ns.file, extra=[ns.element])
     return _bool(x.member(_parse_elem(alpha, ns.element)))
 
 
 def _cmd_includes(ns) -> tuple[int, str]:
-    x, y = _upsets(ns, ns.big, ns.small)[1]
+    x, y = _upsets(ns, ns.big, ns.small)[2]
     return _bool(x.includes(y))
 
 
 def _cmd_union(ns) -> tuple[int, str]:
-    x, y = _upsets(ns, ns.left, ns.right)[1]
-    return 0, upset.format_upset_block(x.union(y))
+    _, show, (x, y) = _upsets(ns, ns.left, ns.right)
+    return 0, upset.format_upset_block(x.union(y), show=show)
 
 
 def _cmd_intersect(ns) -> tuple[int, str]:
-    x, y = _upsets(ns, ns.left, ns.right, only="vector")[1]
+    x, y = _upsets(ns, ns.left, ns.right, only="vector")[2]
     return 0, upset.format_upset_block(upset.intersect_dickson(x, y))
 
 
 def _cmd_quotient(ns) -> tuple[int, str]:
-    alpha, (x,) = _upsets(ns, ns.file, letters=[ns.letter])
-    return 0, upset.format_upset_block(upset.quotient(alpha.index(ns.letter), x))
+    alpha, show, (x,) = _upsets(ns, ns.file, letters=[ns.letter])
+    x = upset.quotient(alpha.index(ns.letter), x)
+    return 0, upset.format_upset_block(x, show=show)
 
 
 def _cmd_som(ns) -> tuple[int, str]:
-    alpha, (x,) = _upsets(ns, ns.file, only="word")
+    alpha, _, (x,) = _upsets(ns, ns.file, only="word")
     return 0, "{" + ",".join(alpha.names[l] for l in sorted(upset.som(x))) + "}"
 
 
 def _cmd_phi_slice(ns) -> tuple[int, str]:
-    (f,) = _upsets(ns, ns.file, extra=[ns.point], only="vector")[1]
+    (f,) = _upsets(ns, ns.file, extra=[ns.point], only="vector")[2]
     value = upset.phi_slice(f, dickson.parse_vec(ns.point))
     return 0, "inf" if value == upset.INF else str(int(value))
 
@@ -298,13 +316,21 @@ _COMMANDS = [
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; parse_args keeps no state between calls."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The one parser of the process, and its verb parsers by command path.
+
+    parse_args keeps no state between calls. run() hands argv to the verb
+    parser its leading words name (("cover",), ("upset", "member"), ...),
+    which answers as the full parser would without the full parser's pass
+    over argv. The full parser stays for argv that names no verb: only it
+    prints the top-level and group help and refuses an unknown verb.
+    """
     parser = argparse.ArgumentParser(
         prog="wqokit",
         description="Embedding orders, upward closed sets, and coverability.",
     )
     groups = {"": parser.add_subparsers(dest="verb", required=True)}
+    verbs = {}
     for command, help_text, handler, arguments in _COMMANDS:
         group, _, verb = command.rpartition(" ")
         p = groups[group].add_parser(verb, help=help_text)
@@ -315,12 +341,31 @@ def _build_parser() -> argparse.ArgumentParser:
             name, options = (arg, {}) if isinstance(arg, str) else arg
             p.add_argument(name, **options)
         p.set_defaults(handler=handler)
-    return parser
+        verbs[tuple(command.split())] = p
+    return parser, verbs
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace, exit and messages of the full parser's parse_args(argv).
+
+    A verb parser keeps what it does not know, and the full parser reports
+    it, as parse_args does after the verb parser has run; the namespace
+    gets the verb and op words that the full parser's subparsers set.
+    """
+    parser, verbs = _build_parser()
+    for path in (tuple(argv[:2]), tuple(argv[:1])):
+        if path in verbs:
+            ns, extra = verbs[path].parse_known_args(argv[len(path):])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            vars(ns).update(zip(("verb", "op"), path))
+            return ns
+    return parser.parse_args(argv)
 
 
 def run(argv=None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _parse(list(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

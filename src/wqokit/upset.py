@@ -179,7 +179,9 @@ def parse_upset_block(text: str) -> tuple[str | None, list[str]]:
     return m.group(1), tokens
 
 
-def format_upset_block(x: UpSet, name: str | None = None) -> str:
-    """Canonical text form, one generator per line."""
+def format_upset_block(
+    x: UpSet, name: str | None = None, show: Callable[[Any], str] = _show
+) -> str:
+    """Canonical text form, one generator per line, each printed by show."""
     head = f"upset {name} {{" if name else "upset {"
-    return "\n".join([head, *("  " + _show(g) for g in x.gens), "}"])
+    return "\n".join([head, *("  " + show(g) for g in x.gens), "}"])

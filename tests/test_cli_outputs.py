@@ -5,15 +5,20 @@ the block BLOCKS[name], and the exact exit status, stdout and stderr.
 Two kinds of failure are pinned loosely: a dimension mismatch only
 has to name both operands (their order is not part of the contract),
 and an argparse usage error only has to exit 2, since argparse words its
-messages differently across Python versions.
+messages differently across Python versions. The one usage message
+pinned whole is the last line of an unrecognized argument's.
 """
 
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqokit import coverability, transport, upset
-from wqokit.cli import _COMMANDS, _build_parser, run
+from wqokit.cli import _COMMANDS, _build_parser, _carrier, _parse, _parse_elem, run
 from wqokit.words import Alphabet, Word
 
 # one digit past the longest decimal read (dickson._MAX_DIGITS), and the longest
@@ -72,7 +77,7 @@ OK = [
     (["upset", "normalize", "{let}"], 0, up("ab", "ba")),
     (["upset", "normalize", "{let_c}"], 0, up("c", "ba", "bb", "aab")),
     (["upset", "normalize", "{let}", "--alphabet", "bax"], 0, up("ba", "ab")),
-    (["upset", "normalize", "{idx}"], 0, up("3", "12", "21")),
+    (["upset", "normalize", "{idx}"], 0, up("[2]", "[0,1]", "[1,0]")),
     (["upset", "normalize", "{idx}", "--alphabet", "xyz"], 0, up("z", "xy", "yx")),
     (["upset", "normalize", "{empty}"], 0, up()),
     (["upset", "normalize", "{nil}"], 0, up("[]")),
@@ -97,7 +102,7 @@ OK = [
     # union
     (["upset", "union", "{vec}", "{vec_b}"], 0, up("(0,3)", "(1,0)")),
     (["upset", "union", "{let}", "{let_c}"], 0, up("c", "ab", "ba", "bb")),
-    (["upset", "union", "{idx}", "{idx_b}"], 0, up("2", "3", "11")),
+    (["upset", "union", "{idx}", "{idx_b}"], 0, up("[1]", "[2]", "[0,0]")),
     (["upset", "union", "{empty}", "{empty}"], 0, up()),
     (["upset", "union", "{empty}", "{let}"], 0, up("ab", "ba")),
     # intersect
@@ -108,7 +113,7 @@ OK = [
     (["upset", "quotient", "a", "{let}"], 0, up("b")),
     (["upset", "quotient", "c", "{let}"], 0, up("ab", "ba")),
     (["upset", "quotient", "c", "{let_c}"], 0, up("[]")),
-    (["upset", "quotient", "1", "{idx}"], 0, up("2", "3")),
+    (["upset", "quotient", "1", "{idx}"], 0, up("[1]", "[2]")),
     (["upset", "quotient", "2", "{idx_b}"], 0, up("[]")),
     (["upset", "quotient", "a", "{empty}"], 0, up()),
     (["upset", "quotient", "y", "{idx}", "--alphabet", "xyz"], 0, up("x", "z")),
@@ -125,9 +130,9 @@ OK = [
     (["upset", "phi-slice", "{vec_b}", "(5)"], 0, "0\n"),
     (["upset", "phi-slice", "{empty}", "(5)"], 0, "inf\n"),
     # an index list is one word, spaces and all; adjacent lists are two words
-    (["upset", "normalize", "{idx_sp}"], 0, up("3", "12")),
+    (["upset", "normalize", "{idx_sp}"], 0, up("[2]", "[0,1]")),
     (["upset", "normalize", "{idx_sp}", "--alphabet", "abc"], 0, up("c", "ab")),
-    (["upset", "normalize", "{idx_adj}"], 0, up("2")),
+    (["upset", "normalize", "{idx_adj}"], 0, up("[1]")),
     # the longest decimal is read
     (["order", "dickson", "(1)", f"({MOST})"], 0, "true\n"),
 ]
@@ -339,6 +344,67 @@ def test_usage_error(capsys, files, argv):
     assert call(capsys, files, argv)[0] == 2
 
 
+@pytest.mark.parametrize("argv,extra", [
+    (["cover", "{net}", "--bogus"], "--bogus"),
+    (["upset", "member", "(1,2)", "{vec}", "extra"], "extra"),
+])
+def test_unrecognized_arguments_are_named(capsys, files, argv, extra):
+    code, out, err = call(capsys, files, argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"wqokit: error: unrecognized arguments: {extra}"
+
+
+def test_group_help(capsys, files):
+    code, out, err = call(capsys, files, ["upset", "-h"])
+    assert code == 0
+    assert out.startswith("usage: wqokit upset")
+
+
+def _argv_corpus(n=20_000, seed=18):
+    """Seeded argvs: every command path and prefixes of verb names, each
+    followed by tokens the parsers treat specially or by random strings."""
+    rng = random.Random(seed)
+    paths = [command.split() for command, *_ in _COMMANDS]
+    heads = paths + [[], ["cov"], ["upset", "mem"], ["seq", "good"], ["upset member"]]
+    tokens = [
+        "-h", "--help", "--", "--bogus", "--max-it", "--max-iterations=4", "-1", "",
+        "--max-iterations", "--alphabet", "--alpha=ab", "--dim", "--oracle-bound",
+        "(1,2)", "ab", "[0]", "x.up", "3", "check", "leq-e", "dickson",
+        *{word for path in paths for word in path},
+    ]
+
+    def token():
+        if rng.random() < 0.8:
+            return rng.choice(tokens)
+        return "".join(rng.choice("-=a1 (,") for _ in range(rng.randint(0, 5)))
+
+    corpus = [head + [t] for head in heads for t in tokens]
+    while len(corpus) < n:
+        argv = rng.choice(heads) + [token() for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.1:
+            argv.insert(0, token())
+        corpus.append(argv)
+    return corpus
+
+
+def _through(parse, argv):
+    """(exit code, stdout, stderr, namespace) of parse(argv); None where absent."""
+    out, err, code, ns = io.StringIO(), io.StringIO(), None, None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            ns = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), ns
+
+
+def test_verb_parsers_answer_as_the_full_parser():
+    full = _build_parser()[0].parse_args
+    corpus = _argv_corpus()
+    differ = [argv for argv in corpus if _through(_parse, argv) != _through(full, argv)]
+    assert not differ, differ[:5]
+
+
 HELP = [[flag] for flag in ("-h", "--help")] + [
     command.split() + [flag] for command, *_ in _COMMANDS for flag in ("-h", "--help")
 ]
@@ -356,6 +422,37 @@ def test_reused_parser_keeps_no_state(capsys, files):
     for argv, got in zip(argvs, reused):
         _build_parser.cache_clear()
         assert call(capsys, files, argv) == got, argv
+
+
+def _upset_of(texts):
+    """The carrier the CLI infers from texts, and the upset they generate."""
+    alpha, show = _carrier(texts, None)
+    make = upset.dickson_upset if alpha is None else upset.word_upset
+    return alpha, show, make([_parse_elem(alpha, t) for t in texts])
+
+
+_VECTORS = st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.lists(st.integers(0, 4), min_size=k, max_size=k).map(
+        lambda c: "(" + ",".join(map(str, c)) + ")"),
+    max_size=6,
+))
+_LETTER_WORDS = st.lists(st.text("abc12", min_size=1, max_size=4), max_size=6)
+_INDEX_WORDS = st.lists(
+    st.lists(st.integers(0, 11), max_size=4).map(lambda w: "[" + ",".join(map(str, w)) + "]"),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_VECTORS, _LETTER_WORDS, _INDEX_WORDS))
+def test_a_printed_block_reads_back_as_its_upset(texts):
+    alpha, _, minimal = _upset_of(texts)
+    # the generators as written that are minimal, so that the carrier of x
+    # is inferred from x's own generators, as from a printed block
+    kept = [t for t in texts if _parse_elem(alpha, t) in minimal.gens]
+    _, show, x = _upset_of(kept)
+    printed = upset.format_upset_block(x, show=show)
+    assert _upset_of(upset.parse_upset_block(printed)[1])[2] == x, printed
 
 
 def test_embed_check_prints_a_counterexample(capsys, monkeypatch):
