@@ -51,10 +51,6 @@ def _bool(value: bool) -> tuple[int, str]:
 _MAX_LETTERS = 10**5
 
 
-def _index_form(w: Word) -> str:
-    return "[" + ",".join(map(str, w.letters)) + "]"
-
-
 def _carrier(texts, alphabet_opt, letters=()) -> tuple[Alphabet | None, Callable]:
     """Decide vectors vs words from the pooled element texts.
 
@@ -66,10 +62,12 @@ def _carrier(texts, alphabet_opt, letters=()) -> tuple[Alphabet | None, Callable
     arguments, and index-form words pool their indices; mixing the two
     forms needs the explicit flag. Index-form letters are named "1".."m",
     so letter arguments do not join them: such a name would read as a
-    letter-form word. "[]" and blank texts carry no information. An
-    inferred index alphabet holds at most _MAX_LETTERS letters, and its
-    words print in index form, so a printed word reads back as itself;
-    every other word prints as upset._show prints it.
+    letter-form word. "[]" and blank texts carry no information, as
+    generators or as letter arguments: they neither make the words index
+    form nor add letters. An inferred index alphabet holds at most
+    _MAX_LETTERS letters, and its words print in index form
+    (words._index_form), so a printed word reads back as itself; every
+    other word prints as upset._show prints it.
     """
     texts = [t.strip() for t in texts]
     if any(t.startswith("(") for t in texts):
@@ -80,9 +78,9 @@ def _carrier(texts, alphabet_opt, letters=()) -> tuple[Alphabet | None, Callable
         return None, upset._show
     if alphabet_opt:
         return alphabet_opt, upset._show
-    if not any(t.startswith("[") for t in texts):
-        texts += [t.strip() for t in letters]
     informative = [t for t in texts if t not in ("", "[]")]
+    if not any(t.startswith("[") for t in informative):
+        informative += [t for t in map(str.strip, letters) if t not in ("", "[]")]
     bracketed = [t for t in informative if t.startswith("[")]
     plain = [t for t in informative if not t.startswith("[")]
     if bracketed and plain:
@@ -102,7 +100,7 @@ def _carrier(texts, alphabet_opt, letters=()) -> tuple[Alphabet | None, Callable
                 top = max(top, int(part.strip()))
     if top >= _MAX_LETTERS:
         raise CliError(f"letter index {top} is over the limit of {_MAX_LETTERS - 1}")
-    return Alphabet.indexed(top + 1), _index_form
+    return Alphabet.indexed(top + 1), words._index_form
 
 
 def _read(path: str) -> str:

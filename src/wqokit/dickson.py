@@ -13,22 +13,26 @@ IntVec = tuple[int, ...]
 
 
 class _Value:
-    """Immutable record whose fields are the subclass's ``__slots__``.
+    """Immutable record whose fields are the subclass's public ``__slots__``.
 
     A subclass's ``__init__`` validates its arguments and hands the field
     values to ``_init`` in slot order. The field tuple is kept as well, so
     equality (same class, equal fields) and hashing (the field tuple's
     hash) cost one tuple operation. Copying and pickling rebuild the value
-    through ``__init__``; ``match`` takes the fields positionally.
+    through ``__init__``; ``match`` takes the fields positionally. A slot
+    whose name starts with ``_`` is no field: it holds a fact that
+    ``__init__`` derives from the fields and sets through the slot's
+    descriptor, and it takes no part in equality, hashing, ``repr``,
+    copying or ``match``.
     """
 
     __slots__ = ("_values",)
 
     def __init_subclass__(cls):
-        cls.__match_args__ = cls.__slots__
+        cls.__match_args__ = tuple(n for n in cls.__slots__ if not n.startswith("_"))
         # a slot's own descriptor writes past the refusing __setattr__, and
         # faster than object.__setattr__, which looks the slot up by name
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
 
     def _init(self, *values) -> None:
         for put, value in zip(self._setters, values):
@@ -50,7 +54,7 @@ class _Value:
         return hash(self._values)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._values))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):

@@ -8,8 +8,13 @@ marking each letter occurrence with a first-seen flag (``phi``).
 
 A word's flagged letters and its letter set are computed once per distinct
 letter tuple and kept in a bounded least-recently-used cache, which
-``leq_E`` and ``phi`` share; a comparison only looks them up. Parsing a
-letter-form word is linear in its length.
+``leq_E`` and ``phi`` share; a comparison only looks them up.
+
+An alphabet works out two facts about its names once, when it is built:
+the table from name to index, and whether every name is one character.
+They are derived slots, not fields. So parsing a letter-form word costs
+one table lookup per letter, and printing a word or an alphabet does not
+rescan the names, however many words are read or printed.
 """
 
 from __future__ import annotations
@@ -27,18 +32,27 @@ class AlphabetMismatch(ValueError):
 
 
 class Alphabet(_Value):
-    """Finite alphabet; letters are the indices 0..size-1 with display names."""
+    """Finite alphabet; letters are the indices 0..size-1 with display names.
 
-    __slots__ = ("names",)
+    The one field is `names`. Two facts are built from it once and kept in
+    private slots, which are not fields: `_index`, the table from name to
+    index that `index` reads, and `_one_char`, whether every name is one
+    character, which decides letter form in printing and parsing.
+    """
+
+    __slots__ = ("names", "_index", "_one_char")
     names: tuple[str, ...]
 
     def __init__(self, names: tuple[str, ...]):
         names = tuple(names)
         if not names:
             raise ValueError("an alphabet needs at least one letter")
-        if len(set(names)) != len(names):
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
             raise ValueError(f"duplicate letter names in {names!r}")
         self._init(names)
+        Alphabet._index.__set__(self, index)
+        Alphabet._one_char.__set__(self, all(len(n) == 1 for n in names))
 
     @classmethod
     def from_letters(cls, letters: str) -> "Alphabet":
@@ -65,8 +79,8 @@ class Alphabet(_Value):
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise ValueError(f"letter {name!r} is not in alphabet {self}") from None
 
     def doubled(self) -> "Alphabet":
@@ -74,9 +88,7 @@ class Alphabet(_Value):
         return _doubled(self)
 
     def __str__(self) -> str:
-        if all(len(n) == 1 for n in self.names):
-            return "".join(self.names)
-        return ",".join(self.names)
+        return ("" if self._one_char else ",").join(self.names)
 
 
 @lru_cache(maxsize=None)
@@ -106,12 +118,14 @@ class Word(_Value):
         return Word(self.alphabet, self.letters[1:])
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "[]"
-        names = self.alphabet.names
-        if all(len(n) == 1 for n in names):
-            return "".join(names[l] for l in self.letters)
-        return "[" + ",".join(str(l) for l in self.letters) + "]"
+        if self.letters and self.alphabet._one_char:
+            return "".join(map(self.alphabet.names.__getitem__, self.letters))
+        return _index_form(self)
+
+
+def _index_form(w: Word) -> str:
+    """The word as a list of its letter indices, "[0,1]"; the empty word is "[]"."""
+    return "[" + ",".join(map(str, w.letters)) + "]"
 
 
 class LabeledWord(_Value):
@@ -226,16 +240,10 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
         if not stripped.endswith("]"):
             raise ValueError(f"unterminated index list {text!r}")
         return Word(alphabet, _decimals(stripped[1:-1], "letter index", text))
-    if not all(len(n) == 1 for n in alphabet.names):
+    if not alphabet._one_char:
         raise ValueError(
             f"alphabet {alphabet} has multi-character names; "
             f"write the word as an index list"
         )
     _check_letter_form(stripped)
-    # one dict per call keeps the parse linear; Alphabet.index only raises
-    # the error for a letter the alphabet lacks
-    index = {name: i for i, name in enumerate(alphabet.names)}
-    return Word(
-        alphabet,
-        tuple(index[ch] if ch in index else alphabet.index(ch) for ch in stripped),
-    )
+    return Word(alphabet, tuple(map(alphabet.index, stripped)))

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqokit import coverability, transport, upset
-from wqokit.cli import _COMMANDS, _build_parser, _carrier, _parse, _parse_elem, run
+from wqokit.cli import _COMMANDS, CliError, _build_parser, _carrier, _parse, _parse_elem, run
 from wqokit.words import Alphabet, Word
 
 # one digit past the longest decimal read (dickson._MAX_DIGITS), and the longest
@@ -35,6 +35,7 @@ BLOCKS = {
     "idx_b": "upset { [1] [0,0] }",
     "empty": "upset { }",
     "nil": "upset { [] }",
+    "nil_ab": "upset { [] ab }",
     "mixed": "upset { (1,2) ab }",
     "forms": "upset { ab [0,1] }",
     "dims": "upset { (1,2) (1,2,3) }",
@@ -135,6 +136,9 @@ OK = [
     (["upset", "normalize", "{idx_adj}"], 0, up("[1]")),
     # the longest decimal is read
     (["order", "dickson", "(1)", f"({MOST})"], 0, "true\n"),
+    # a [] generator carries no letters, so the letter argument still joins
+    (["upset", "quotient", "c", "{nil_ab}"], 0, up("[]")),
+    (["upset", "quotient", "c", "{nil}"], 0, up("[]")),
 ]
 
 
@@ -453,6 +457,27 @@ def test_a_printed_block_reads_back_as_its_upset(texts):
     _, show, x = _upset_of(kept)
     printed = upset.format_upset_block(x, show=show)
     assert _upset_of(upset.parse_upset_block(printed)[1])[2] == x, printed
+
+
+def _carrier_of(texts, letters):
+    """What _carrier(texts, None, letters) returns, or the error it raises."""
+    try:
+        return _carrier(texts, None, letters)
+    except CliError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_LETTER_WORDS, _INDEX_WORDS),
+    st.lists(st.sampled_from(["a", "c", "1", "", "[]"]), max_size=1),
+    st.sampled_from(["", "[]", " [] "]),
+    st.integers(0, 6),
+)
+def test_uninformative_texts_leave_the_carrier_alone(texts, letters, blank, at):
+    # a blank or [] generator neither adds letters nor makes the words index form
+    padded = texts[:at] + [blank] + texts[at:]
+    assert _carrier_of(padded, letters) == _carrier_of(texts, letters)
 
 
 def test_embed_check_prints_a_counterexample(capsys, monkeypatch):

@@ -144,6 +144,21 @@ def test_copy_deepcopy_and_pickle_round_trip(value, fields):
         assert type(clone) is type(value) and clone == value
 
 
+def test_alphabet_copies_answer_like_the_original():
+    # the name table and the one-character flag are rebuilt from the names
+    for alpha in (AB, Alphabet(("a0", "b"))):
+        clones = [copy.copy(alpha), copy.deepcopy(alpha)] + [
+            pickle.loads(pickle.dumps(alpha, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        for clone in clones:
+            assert clone.index("b") == alpha.index("b") == 1
+            assert str(clone) == str(alpha)
+            assert str(Word(clone, (1, 0))) == str(Word(alpha, (1, 0)))
+            with pytest.raises(ValueError, match=f"^letter 'z' is not in alphabet {alpha}$"):
+                clone.index("z")
+
+
 def test_positional_match():
     match WORD:
         case Word(alpha, letters):

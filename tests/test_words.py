@@ -72,6 +72,10 @@ def test_word_validation_and_str():
     assert str(w("ab")) == "ab"
     assert str(w("")) == "[]"
     assert str(Word(AB.doubled(), (0, 2))) == "[0,2]"
+    # the empty word, and every word over multi-character names, is an index list
+    multi = Alphabet(("x1", "y"))
+    for word in (w(""), Word(ABC), Word(AB.doubled(), (0, 2)), Word(multi), Word(multi, (1, 0))):
+        assert str(word) == words._index_form(word)
     assert len(w("aab")) == 3
     assert w("aab").tail() == w("ab")
 
@@ -102,6 +106,18 @@ def test_parse_word_is_linear_in_the_word():
     assert word.letters == tuple(range(20_000))
     with pytest.raises(ValueError, match="^letter 'x' is not in alphabet "):
         parse_word(text + "x", alpha)
+    # 20,000 one-letter words over the same alphabet: its name table and
+    # letter form are worked out once, not once per word parsed or printed
+    start = time.perf_counter()
+    singles = [parse_word(ch, alpha) for ch in text]
+    assert time.perf_counter() - start < 2.0
+    start = time.perf_counter()
+    printed = [str(u) for u in singles]
+    assert time.perf_counter() - start < 2.0
+    assert printed == list(text)
+    with pytest.raises(ValueError) as info:
+        parse_word("x", alpha)
+    assert str(info.value) == f"letter 'x' is not in alphabet {text}"
 
 
 @pytest.mark.parametrize("text", ["a b", "a\tb", "a,b", "a(b", "ab)", "a]", "{a}", "a[0]"])
