@@ -5,17 +5,33 @@ sorted into a canonical order, so two values denote the same upward
 closed set exactly when their representations compare equal. The carrier
 order is a plain binary predicate; vector- and word-specific operations
 (intersection, slicing, letter quotients) live alongside as functions.
+
+Each library order has a kernel row in `_KERNELS`: a check that two
+elements share a carrier (one dimension, one alphabet), the key of an
+element (the vector, the letters, the flagged letters with the support),
+and a raw comparison of two keys that checks nothing. An UpSet keeps the
+keys of its generators in the derived slot `_keys`, which is not a field.
+So the carrier is checked once per call at the UpSet boundary: member and
+includes check one pair, normalization checks each element against the
+first, and every comparison after that compares keys. An order that has
+no row, a custom predicate or a wrapped one, takes the default row: no
+check, the element as its own key, and the order itself as the
+comparison, which checks what it checks on every pair.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from itertools import repeat
+from operator import attrgetter
 from typing import Any, Callable, Iterable
 
-from .dickson import DimensionMismatch, NatVec, _Value, format_vec, join
+from .dickson import DimensionMismatch, NatVec, _below, _require_same_dim, _Value
+from .dickson import format_vec, join
 from .dickson import leq as vec_leq
-from .words import LabeledWord, Word, labeled_leq, leq_e
+from .words import LabeledWord, Word, _embeds, _flagged, _require_same_alphabet
+from .words import _supported_embeds, labeled_leq, leq_E, leq_e
 
 ExtendedNat = int | float
 INF: ExtendedNat = math.inf
@@ -38,14 +54,50 @@ def _show(g) -> str:
     return str(g)
 
 
-def _minimal(leq: Callable[[Any, Any], bool], elems: Iterable) -> list:
+def _itself(x):
+    return x
+
+
+def _unchecked(a, b) -> None:
+    pass
+
+
+# order -> (check of two elements, key of an element, raw comparison of
+# two keys): leq(a, b) is check(a, b), then raw(key(a), key(b))
+_KERNELS = {
+    vec_leq: (_require_same_dim, _itself, _below),
+    leq_e: (_require_same_alphabet, attrgetter("letters"), _embeds),
+    leq_E: (_require_same_alphabet, lambda w: _flagged(w.letters), _supported_embeds),
+    labeled_leq: (
+        lambda p, q: _require_same_alphabet(p.word, q.word),
+        lambda p: (p.support, p.word.letters),
+        _supported_embeds,
+    ),
+}
+
+
+def _kernel(leq: Callable[[Any, Any], bool]) -> tuple:
+    """The kernel row of leq; any other order checks nothing and compares itself."""
+    return _KERNELS.get(leq) or (_unchecked, _itself, leq)
+
+
+def _minimal(leq: Callable[[Any, Any], bool], elems: Iterable) -> tuple[tuple, tuple]:
+    """The minimal elements of elems in _key order, and their keys."""
     # one pass in _key order: whatever lies strictly below x sorts before
-    # it, and whatever lies below a dropped element lies below a kept one
-    kept: list = []
+    # it, and whatever lies below a dropped element lies below a kept one.
+    # Each element is checked against the first one only: that is the
+    # first pair a checked comparison would meet, so the same element
+    # raises the same error.
+    check, keyof, raw = _kernel(leq)
+    kept, keys = [], []
     for x in sorted(dict.fromkeys(elems), key=_key):
-        if not any(leq(y, x) for y in kept):
+        if kept:
+            check(kept[0], x)
+        k = keyof(x)
+        if not any(map(raw, keys, repeat(k))):
             kept.append(x)
-    return kept
+            keys.append(k)
+    return tuple(kept), tuple(keys)
 
 
 class UpSet(_Value):
@@ -61,14 +113,20 @@ class UpSet(_Value):
     lexicographically; `vec_leq`, `leq_e`, `leq_E` and `labeled_leq` are.
     """
 
-    __slots__ = ("leq", "gens")
+    __slots__ = ("leq", "gens", "_keys")
 
     def __init__(self, leq: Callable[[Any, Any], bool], gens: Iterable = ()):
-        self._init(leq, tuple(_minimal(leq, gens)))
+        gens, keys = _minimal(leq, gens)
+        self._init(leq, gens)
+        UpSet._keys.__set__(self, keys)
 
     def member(self, x) -> bool:
         """True iff x lies above some generator."""
-        return any(self.leq(g, x) for g in self.gens)
+        if not self.gens:
+            return False
+        check, keyof, raw = _kernel(self.leq)
+        check(self.gens[0], x)
+        return any(map(raw, self._keys, repeat(keyof(x))))
 
     def includes(self, other: "UpSet") -> bool:
         """True iff other is contained in self.
@@ -76,7 +134,11 @@ class UpSet(_Value):
         Generator criterion: every minimal element of other is a member.
         """
         self._check_order(other)
-        return all(self.member(g) for g in other.gens)
+        if not (self.gens and other.gens):
+            return not other.gens
+        check, _, raw = _kernel(self.leq)
+        check(self.gens[0], other.gens[0])
+        return all(any(map(raw, self._keys, repeat(k))) for k in other._keys)
 
     def union(self, other: "UpSet") -> "UpSet":
         self._check_order(other)
@@ -94,9 +156,11 @@ class UpSet(_Value):
 
 
 def _antichain_upset(leq: Callable[[Any, Any], bool], gens: Iterable) -> UpSet:
-    """UpSet of gens that are already an antichain under leq: only sorted."""
+    """UpSet of vectors that are already an antichain under leq: only sorted."""
     x = UpSet.__new__(UpSet)
-    x._init(leq, tuple(sorted(gens, key=_key)))
+    gens = tuple(sorted(gens, key=_key))
+    x._init(leq, gens)
+    UpSet._keys.__set__(x, gens)  # a vector is its own key
     return x
 
 
@@ -137,7 +201,8 @@ def phi_slice(f: UpSet, a: NatVec) -> ExtendedNat:
             f"slice point {format_vec(a)} needs generators of dimension "
             f"{len(a) + 1}, got {format_vec(f.gens[0])}"
         )
-    return min((g[-1] for g in f.gens if vec_leq(g[:-1], a)), default=INF)
+    # _below stops at the end of a, so g's last component takes no part
+    return min((g[-1] for g in f.gens if _below(g, a)), default=INF)
 
 
 def quotient(a: int, x: UpSet) -> UpSet:

@@ -10,6 +10,13 @@ A word's flagged letters and its letter set are computed once per distinct
 letter tuple and kept in a bounded least-recently-used cache, which
 ``leq_E`` and ``phi`` share; a comparison only looks them up.
 
+Each order is its alphabet check followed by an unchecked comparison of
+letter tuples. ``_embeds`` is the one greedy matcher. ``leq_E`` compares
+(support, flagged letters) keys with ``_supported_embeds``: equal
+supports, then ``_embeds``; ``labeled_leq`` compares its supports and
+words the same way. Upsets call these kernels directly once they have
+checked the alphabet (see ``upset``).
+
 An alphabet works out two facts about its names once, when it is built:
 the table from name to index, and whether every name is one character.
 They are derived slots, not fields. So parsing a letter-form word costs
@@ -157,9 +164,14 @@ def leq_e(u: Word, v: Word) -> bool:
     unused occurrence in v. Greedy matching succeeds iff any matching does.
     """
     _require_same_alphabet(u, v)
+    return _embeds(u.letters, v.letters)
+
+
+def _embeds(u: tuple[int, ...], v: tuple[int, ...]) -> bool:
+    """Greedy leftmost matching of the letter tuple u into v, unchecked."""
     # contains(it, x) is `x in it`, which advances the one shared iterator
     # past x: still the greedy leftmost match, with no Python-level call
-    return all(map(contains, repeat(iter(v.letters)), u.letters))
+    return all(map(contains, repeat(iter(v)), u))
 
 
 def support(u: Word) -> frozenset[int]:
@@ -173,8 +185,8 @@ _FLAGGED_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_FLAGGED_CACHE_SIZE)
-def _flagged(letters: tuple[int, ...]) -> tuple[tuple[int, ...], frozenset[int]]:
-    """The flagged letters of a word, and its support.
+def _flagged(letters: tuple[int, ...]) -> tuple[frozenset[int], tuple[int, ...]]:
+    """The support of a word, and its flagged letters: its leq_E key.
 
     Letter a becomes 2*a at its first occurrence and 2*a + 1 afterwards.
     """
@@ -183,7 +195,7 @@ def _flagged(letters: tuple[int, ...]) -> tuple[tuple[int, ...], frozenset[int]]
     for a in letters:
         out.append(2 * a + (a in seen))
         seen.add(a)
-    return tuple(out), frozenset(seen)
+    return frozenset(seen), tuple(out)
 
 
 def phi(u: Word) -> LabeledWord:
@@ -192,7 +204,7 @@ def phi(u: Word) -> LabeledWord:
     The result word lives over the doubled alphabet (letter i with flag f is
     encoded as 2*i + f) and is paired with the support of u.
     """
-    flagged, sup = _flagged(u.letters)
+    sup, flagged = _flagged(u.letters)
     return LabeledWord(Word(u.alphabet.doubled(), flagged), sup)
 
 
@@ -203,16 +215,22 @@ def leq_E(u: Word, v: Word) -> bool:
     matching of leq_e; the support check comes first as the cheap rejection.
     """
     _require_same_alphabet(u, v)
-    fu, su = _flagged(u.letters)
-    fv, sv = _flagged(v.letters)
-    if su != sv:
-        return False
-    return all(map(contains, repeat(iter(fv)), fu))
+    return _supported_embeds(_flagged(u.letters), _flagged(v.letters))
 
 
 def labeled_leq(p: LabeledWord, q: LabeledWord) -> bool:
-    """Product order on labeled words: equal supports and embedded words."""
-    return p.support == q.support and leq_e(p.word, q.word)
+    """Product order on labeled words: equal supports and embedded words.
+
+    Words over different alphabets raise AlphabetMismatch, whether or not
+    the supports agree.
+    """
+    _require_same_alphabet(p.word, q.word)
+    return p.support == q.support and _embeds(p.word.letters, q.word.letters)
+
+
+def _supported_embeds(p: tuple, q: tuple) -> bool:
+    """The kernel of leq_E and labeled_leq on (support, letters) keys, unchecked."""
+    return p[0] == q[0] and _embeds(p[1], q[1])
 
 
 # A letter-form word is a run of non-space characters, none of them one

@@ -1,7 +1,11 @@
+import copy
+import pickle
 import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wqokit import (
     INF,
@@ -12,8 +16,10 @@ from wqokit import (
     Word,
     dickson_upset,
     format_upset_block,
+    format_vec,
     intersect_dickson,
     labeled_leq,
+    leq,
     leq_E,
     leq_e,
     parse_upset_block,
@@ -24,10 +30,12 @@ from wqokit import (
     som,
     word_upset,
 )
+from wqokit import upset
 
 from oracles import (
     box,
     embeds_recursive,
+    flag_occurrences,
     minimal_elements,
     phi_slice_scan,
     rand_letters,
@@ -187,8 +195,41 @@ def test_phi_slice_matches_scan_oracle():
 
 def test_phi_slice_dimension_check():
     f = dickson_upset([(1, 2, 3)])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch) as err:
         phi_slice(f, (1, 2, 3))
+    assert str(err.value) == "slice point (1,2,3) needs generators of dimension 4, got (1,2,3)"
+
+
+def _nat_vecs(m: int, hi: int):
+    return st.tuples(*[st.integers(0, hi)] * m)
+
+
+@st.composite
+def slice_cases(draw):
+    """Generators of dimension m + 1, a point of dimension m, and a point of
+    another dimension."""
+    m = draw(st.integers(0, 3))
+    gens = draw(st.lists(_nat_vecs(m + 1, 4), max_size=5))
+    wrong = draw(st.integers(0, 4).filter(lambda n: n != m))
+    return gens, draw(_nat_vecs(m, 5)), draw(_nat_vecs(wrong, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slice_cases())
+def test_phi_slice_matches_scan_oracle_in_every_dimension(case):
+    gens, a, wrong = case
+    f = dickson_upset(gens)
+    want = phi_slice_scan(gens, a)
+    assert phi_slice(f, a) == (INF if want is None else want)
+    if not gens:
+        assert phi_slice(f, wrong) == INF
+        return
+    with pytest.raises(DimensionMismatch) as err:
+        phi_slice(f, wrong)
+    assert str(err.value) == (
+        f"slice point {format_vec(wrong)} needs generators of dimension "
+        f"{len(wrong) + 1}, got {format_vec(f.gens[0])}"
+    )
 
 
 def test_quotient_examples():
@@ -280,3 +321,173 @@ def test_block_parse_and_format_roundtrip():
 
     x = wup("ba", "ab")
     assert format_upset_block(x) == "upset {\n  ab\n  ba\n}"
+
+
+# ------------------------------------------------ the kernels of UpSet
+
+XY = Alphabet.from_letters("xy")  # as large as AB, other names
+_MEMO: dict = {}
+
+
+def _embeds_rec(u: tuple, v: tuple) -> bool:
+    return embeds_recursive(u, v, _MEMO)
+
+
+def _custom_leq(a, b) -> bool:
+    """An order the kernel table does not know: it takes the default row."""
+    return leq(a, b)
+
+
+# order -> the oracle deciding it from first principles
+ORACLES = {
+    leq: vec_le,
+    _custom_leq: vec_le,
+    leq_e: lambda u, v: _embeds_rec(u.letters, v.letters),
+    leq_E: lambda u, v: set(u.letters) == set(v.letters)
+    and _embeds_rec(flag_occurrences(u.letters), flag_occurrences(v.letters)),
+    labeled_leq: lambda p, q: p.support == q.support
+    and _embeds_rec(p.word.letters, q.word.letters),
+}
+LIBRARY_ORDERS = (leq, leq_e, leq_E, labeled_leq)
+
+
+def _letters(k: int):
+    return st.lists(st.integers(0, k - 1), max_size=4).map(tuple)
+
+
+def _elements(order, alpha: Alphabet, dim: int):
+    """A strategy for the elements of one carrier of order."""
+    if order in (leq, _custom_leq):
+        return _nat_vecs(dim, 3)
+    if order is labeled_leq:
+        double = alpha.doubled()
+        return st.builds(
+            lambda t, sup: LabeledWord(Word(double, t), sup),
+            _letters(double.size),
+            st.frozensets(st.integers(0, alpha.size - 1)),
+        )
+    return _letters(alpha.size).map(lambda t: Word(alpha, t))
+
+
+@st.composite
+def kernel_cases(draw, orders=tuple(ORACLES)):
+    """An order, generators, a second generating set, queries, and one
+    element of another carrier (another dimension or alphabet)."""
+    order = draw(st.sampled_from(orders))
+    dim = draw(st.integers(1, 3))
+    elems = _elements(order, AB, dim)
+    other_dim = draw(st.integers(0, 4).filter(lambda n: n != dim))
+    stranger = draw(_elements(order, XY, other_dim))
+    return (
+        order,
+        draw(st.lists(elems, max_size=6)),
+        draw(st.lists(elems, max_size=4)),
+        draw(st.lists(elems, min_size=1, max_size=4)),
+        stranger,
+    )
+
+
+def _pairwise_minimal(order, elems) -> tuple:
+    """Normalization with the checked predicate on every pair."""
+    kept: list = []
+    for x in sorted(dict.fromkeys(elems), key=upset._key):
+        if not any(order(y, x) for y in kept):
+            kept.append(x)
+    return tuple(kept)
+
+
+def _raised(f, *args):
+    """The type and text of what f(*args) raises; None if it returns."""
+    try:
+        f(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_cases())
+def test_kernels_agree_with_the_oracles(case):
+    order, gens, others, queries, _ = case
+    oracle = ORACLES[order]
+    x, y = UpSet(order, gens), UpSet(order, others)
+    assert set(x.gens) == minimal_elements(gens, oracle)
+    assert x.gens == _pairwise_minimal(order, gens)
+    for q in queries:
+        assert x.member(q) == any(oracle(g, q) for g in gens)
+    for big, small in (((x, gens), (y, others)), ((y, others), (x, gens))):
+        want = all(any(oracle(g, h) for g in big[1]) for h in small[1])
+        assert big[0].includes(small[0]) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_cases())
+def test_a_stranger_raises_what_the_checked_predicate_raises(case):
+    order, gens, _, _, stranger = case
+    x = UpSet(order, gens)
+    assert _raised(UpSet, order, gens + [stranger]) == _raised(
+        _pairwise_minimal, order, gens + [stranger]
+    )
+    if not x.gens:
+        assert not x.member(stranger)
+        return
+    expected = _raised(order, x.gens[0], stranger)
+    assert expected is not None
+    assert _raised(x.member, stranger) == expected
+    assert _raised(x.includes, UpSet(order, [stranger])) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_cases(LIBRARY_ORDERS))
+def test_copies_rebuild_the_keys(case):
+    order, gens, _, queries, _ = case
+    x = UpSet(order, gens)
+    clones = [copy.copy(x), copy.deepcopy(x)] + [
+        pickle.loads(pickle.dumps(x, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    for clone in clones:
+        assert clone == x and hash(clone) == hash(x) and repr(clone) == repr(x)
+        assert clone._keys == x._keys
+        assert [clone.member(q) for q in queries] == [x.member(q) for q in queries]
+    # the keys are derived, not a field
+    bare = copy.copy(x)
+    UpSet._keys.__set__(bare, ())
+    assert bare == x and hash(bare) == hash(x) and repr(bare) == repr(x)
+    assert UpSet.__match_args__ == ("leq", "gens")
+    match bare:
+        case UpSet(o, g):
+            assert (o, g) == (order, x.gens)
+
+
+# n distinct elements of one carrier, none below another, and a query
+CHECK_CASES = {
+    "dickson": (leq, [(0, 3), (1, 1), (3, 0)], (2, 2)),
+    "leq_e": (leq_e, [Word(AB, t) for t in ((0, 0), (0, 1), (1, 0))], Word(AB, (1, 0, 1))),
+    "leq_E": (leq_E, [Word(AB, t) for t in ((0,), (1,), (0, 1))], Word(AB, (0, 1, 1))),
+    "labeled": (
+        labeled_leq,
+        [LabeledWord(Word(AB.doubled(), t), {0}) for t in ((0,), (1, 1), (2, 3))],
+        LabeledWord(Word(AB.doubled(), (0, 1)), {0}),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CHECK_CASES)
+def test_each_call_checks_the_carrier_once(name, monkeypatch):
+    order, elems, query = CHECK_CASES[name]
+    check, keyof, raw = upset._KERNELS[order]
+    pairs = []
+
+    def counted(a, b):
+        pairs.append((a, b))
+        check(a, b)
+
+    monkeypatch.setitem(upset._KERNELS, order, (counted, keyof, raw))
+    x = UpSet(order, elems + elems[::-1])
+    assert len(x.gens) == len(elems) and len(pairs) == len(elems) - 1
+    pairs.clear()
+    assert x.member(query) and pairs == [(x.gens[0], query)]
+    pairs.clear()
+    assert not UpSet(order).member(query) and pairs == []
+    assert x.includes(x) and pairs == [(x.gens[0], x.gens[0])]

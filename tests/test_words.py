@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from wqokit import (
     Alphabet,
     AlphabetMismatch,
+    LabeledWord,
     Word,
     labeled_leq,
+    labeled_upset,
     leq_E,
     leq_e,
     parse_word,
@@ -140,6 +142,21 @@ def test_leq_e_alphabet_mismatch_reports_operands():
     with pytest.raises(AlphabetMismatch) as err:
         leq_e(w("ab", AB), w("ab", ABC))
     assert "ab" in str(err.value) and "abc" in str(err.value)
+
+
+def test_labeled_leq_checks_the_alphabets_before_the_supports():
+    u, v = w("ab", AB), w("ab", ABC)
+    with pytest.raises(AlphabetMismatch) as err:
+        leq_e(phi(u).word, phi(v).word)
+    for sup in ({0, 1}, {0}, set()):  # equal supports, then differing ones
+        p, q = LabeledWord(phi(u).word, {0, 1}), LabeledWord(phi(v).word, sup)
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(AlphabetMismatch) as got:
+                labeled_leq(a, b)
+            if a is p:
+                assert str(got.value) == str(err.value)
+    with pytest.raises(AlphabetMismatch):
+        labeled_upset([LabeledWord(phi(u).word, {0}), LabeledWord(phi(v).word, {1})])
 
 
 def test_leq_e_matches_recursive_definition_random():
