@@ -120,13 +120,16 @@ def _upsets(ns, *paths, extra=(), letters=(), only=None):
 
     The carrier is picked from the pooled texts (the generators plus the
     extra element or point) and checked against `only` before parsing;
-    with no text at all, either carrier fits.
+    with no text at all, the upsets are empty and take the carrier that
+    `only` names (words when it names none).
     """
     blocks = [upset.parse_upset_block(_read(p))[1] for p in paths]
     texts = [t for toks in blocks for t in toks] + list(extra)
     alpha, show = _carrier(texts, getattr(ns, "alphabet", None), letters)
-    if only and texts and only != ("vector" if alpha is None else "word"):
-        raise CliError(f"{ns.op} is available for {only} upsets only")
+    if only and only != ("vector" if alpha is None else "word"):
+        if texts:
+            raise CliError(f"{ns.op} is available for {only} upsets only")
+        alpha = None
     make = upset.dickson_upset if alpha is None else upset.word_upset
     return alpha, show, [make([_parse_elem(alpha, t) for t in toks]) for toks in blocks]
 
@@ -184,8 +187,19 @@ def _cmd_union(ns) -> tuple[int, str]:
     return 0, upset.format_upset_block(x.union(y), show=show)
 
 
+# one join per pair of generators, then a normalization of the joins:
+# two 2-dimensional antichains of 400 generators each take about 10 s
+_MAX_JOINS = 160_000
+
+
 def _cmd_intersect(ns) -> tuple[int, str]:
     x, y = _upsets(ns, ns.left, ns.right, only="vector")[2]
+    joins = len(x.gens) * len(y.gens)
+    if joins > _MAX_JOINS:
+        raise CliError(
+            f"intersecting {len(x.gens)} and {len(y.gens)} generators makes "
+            f"{joins} joins, over the limit of {_MAX_JOINS}"
+        )
     return 0, upset.format_upset_block(upset.intersect_dickson(x, y))
 
 

@@ -291,7 +291,7 @@ def backward_cover(
         # older generators were already found not to lie below initial;
         # one checked comparison per new generator, not per candidate
         if any(vec_leq(g, q.initial) for g in frontier):
-            return CoverResult(True, _antichain_upset(vec_leq, basis), iterations)
+            return CoverResult(True, _antichain_upset(basis), iterations)
         if max_iterations is not None and iterations >= max_iterations:
             raise SaturationLimit(
                 f"no fixpoint within {max_iterations} rounds; "
@@ -312,7 +312,7 @@ def backward_cover(
                 f"over the limit of {max_basis}"
             )
         if not frontier:
-            return CoverResult(False, _antichain_upset(vec_leq, basis), iterations)
+            return CoverResult(False, _antichain_upset(basis), iterations)
         iterations += 1
 
 

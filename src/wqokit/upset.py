@@ -4,7 +4,12 @@ An UpSet keeps the finite set of minimal generators, deduplicated and
 sorted into a canonical order, so two values denote the same upward
 closed set exactly when their representations compare equal. The carrier
 order is a plain binary predicate; vector- and word-specific operations
-(intersection, slicing, letter quotients) live alongside as functions.
+live alongside as functions and take only the orders they are defined
+for: `intersect_dickson` and `phi_slice` take `vec_leq`, `quotient` takes
+`leq_e`, and `som` takes any order but `vec_leq` and `labeled_leq`. Any
+other order is refused with a ValueError naming the operation and the
+order. The checks read the module's order names when called, so an order
+rebound here (as a tracer does) is the one they take.
 
 Each library order has a kernel row in `_KERNELS`: a check that two
 elements share a carrier (one dimension, one alphabet), the key of an
@@ -155,11 +160,11 @@ class UpSet(_Value):
         return "UpSet({%s})" % ", ".join(_show(g) for g in self.gens)
 
 
-def _antichain_upset(leq: Callable[[Any, Any], bool], gens: Iterable) -> UpSet:
-    """UpSet of vectors that are already an antichain under leq: only sorted."""
+def _antichain_upset(gens: Iterable[NatVec]) -> UpSet:
+    """UpSet of vectors that are already an antichain under vec_leq: only sorted."""
     x = UpSet.__new__(UpSet)
     gens = tuple(sorted(gens, key=_key))
-    x._init(leq, gens)
+    x._init(vec_leq, gens)
     UpSet._keys.__set__(x, gens)  # a vector is its own key
     return x
 
@@ -179,12 +184,21 @@ def labeled_upset(gens: Iterable[LabeledWord] = ()) -> UpSet:
     return UpSet(labeled_leq, gens)
 
 
+def _require(op: str, x: UpSet, takes: bool, orders: str) -> None:
+    """Refuse x unless takes: op is defined for upsets under `orders` only."""
+    if not takes:
+        name = getattr(x.leq, "__qualname__", x.leq)
+        raise ValueError(f"{op} takes upsets under {orders}, not under {name}")
+
+
 def intersect_dickson(x: UpSet, y: UpSet) -> UpSet:
-    """Intersection of two vector upsets.
+    """Intersection of two vector upsets, both under vec_leq.
 
     A vector lies above g and above h iff it lies above join(g, h), so
     the pairwise joins of generators generate the intersection.
     """
+    x._check_order(y)
+    _require("intersect_dickson", x, x.leq is vec_leq, "leq")
     return dickson_upset(join(g, h) for g in x.gens for h in y.gens)
 
 
@@ -193,8 +207,9 @@ def phi_slice(f: UpSet, a: NatVec) -> ExtendedNat:
 
     Closed form from the generators: any g = (g', c) with g' <= a admits
     its last component, and the minimum over those is least overall.
-    The result is antitone in a.
+    The result is antitone in a. f must be an upset under vec_leq.
     """
+    _require("phi_slice", f, f.leq is vec_leq, "leq")
     # a vector upset has one dimension, so the first generator speaks for all
     if f.gens and len(f.gens[0]) != len(a) + 1:
         raise DimensionMismatch(
@@ -208,16 +223,20 @@ def phi_slice(f: UpSet, a: NatVec) -> ExtendedNat:
 def quotient(a: int, x: UpSet) -> UpSet:
     """The words whose extension by the letter a on the left lands in x.
 
-    b <= a.y iff b <= y, or b starts with a and tail(b) <= y; hence the
-    quotient is generated by the generators of x together with the tails
-    of those that start with a.
+    x must be an upset under leq_e. b <= a.y iff b <= y, or b starts with
+    a and tail(b) <= y. A generator that starts with a lies above its own
+    tail, so the tails replace those generators and keep the rest.
     """
-    extra = [g.tail() for g in x.gens if g.letters and g.letters[0] == a]
-    return UpSet(x.leq, list(x.gens) + extra)
+    _require("quotient", x, x.leq is leq_e, "leq_e")
+    return UpSet(x.leq, [g.tail() if g.letters[:1] == (a,) else g for g in x.gens])
 
 
 def som(x: UpSet) -> frozenset[int]:
-    """Starting letters of the minimal elements of a word upset."""
+    """Starting letters of the minimal elements of a word upset.
+
+    x may be under any order but vec_leq and labeled_leq.
+    """
+    _require("som", x, x.leq is not vec_leq and x.leq is not labeled_leq, "a word order")
     return frozenset(g.letters[0] for g in x.gens if g.letters)
 
 

@@ -90,17 +90,13 @@ class Alphabet(_Value):
         except KeyError:
             raise ValueError(f"letter {name!r} is not in alphabet {self}") from None
 
+    @lru_cache(maxsize=None)
     def doubled(self) -> "Alphabet":
         """Flagged letters, letter i with flag f at 2*i + f; one object per alphabet."""
-        return _doubled(self)
+        return Alphabet(tuple(f"{n}{f}" for n in self.names for f in (0, 1)))
 
     def __str__(self) -> str:
         return ("" if self._one_char else ",").join(self.names)
-
-
-@lru_cache(maxsize=None)
-def _doubled(alphabet: Alphabet) -> Alphabet:
-    return Alphabet(tuple(f"{n}{f}" for n in alphabet.names for f in (0, 1)))
 
 
 class Word(_Value):

@@ -1,12 +1,13 @@
 """Inputs the CLI refuses before doing any work: oversized `embed check`
 ranges, letter indices that would need a huge inferred alphabet, and
 `cover --oracle-bound` values the oracle cannot use or whose box holds
-too many reachable markings, and nets with more places than the
-saturation's trie takes."""
+too many reachable markings, nets with more places than the
+saturation's trie takes, and `upset intersect` inputs that need too
+many joins."""
 
 import pytest
 
-from wqokit import cli, coverability
+from wqokit import cli, coverability, upset
 from wqokit.cli import run
 from wqokit.words import Alphabet
 
@@ -126,3 +127,34 @@ def test_net_at_the_place_limit_is_answered(tmp_path, capsys):
     assert err == ""
     assert out.startswith("coverable: false\niterations: 2\nupset basis {\n")
     assert out.count("\n  (") == 3
+
+
+def antichain(tmp_path, name: str, n: int) -> str:
+    """A block of n 2-dimensional vectors, none below another."""
+    path = tmp_path / name
+    path.write_text("upset {\n" + "".join(f"  ({i},{n - i})\n" for i in range(n)) + "}\n")
+    return str(path)
+
+
+def test_intersect_over_the_join_limit_fails_before_any_join(tmp_path, monkeypatch, capsys):
+    def no_join(*args):
+        pytest.fail("a join was built")
+
+    monkeypatch.setattr(upset, "join", no_join)
+    x, y = antichain(tmp_path, "x.up", 401), antichain(tmp_path, "y.up", 400)
+    assert run(["upset", "intersect", x, y]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: intersecting 401 and 400 generators makes 160400 joins, "
+        "over the limit of 160000\n"
+    ))
+
+
+def test_intersect_at_the_join_limit_is_answered(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_MAX_JOINS", 6)
+    x, y = antichain(tmp_path, "x.up", 3), antichain(tmp_path, "y.up", 2)
+    assert run(["upset", "intersect", x, y]) == 0
+    assert capsys.readouterr() == ("upset {\n  (0,3)\n  (1,2)\n  (2,1)\n}\n", "")
+    assert run(["upset", "intersect", x, x]) == 2
+    assert capsys.readouterr() == (
+        "", "error: intersecting 3 and 3 generators makes 9 joins, over the limit of 6\n"
+    )

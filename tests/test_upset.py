@@ -4,7 +4,7 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wqokit import (
@@ -25,12 +25,14 @@ from wqokit import (
     parse_upset_block,
     parse_vec,
     parse_word,
+    phi,
     phi_slice,
     quotient,
     som,
     word_upset,
 )
 from wqokit import upset
+from wqokit.transport import dickson_word_embedding, labeling_embedding, transport_upset
 
 from oracles import (
     box,
@@ -261,6 +263,8 @@ def test_som_examples():
 def test_mixed_orders_and_dimensions_rejected():
     with pytest.raises(ValueError):
         dickson_upset([(1, 2)]).union(wup("ab"))
+    with pytest.raises(ValueError, match="^cannot combine upsets over different orders$"):
+        intersect_dickson(dickson_upset([(1, 2)]), UpSet(_custom_leq, [(1, 2)]))
     with pytest.raises(DimensionMismatch):
         dickson_upset([(1, 2), (1, 2, 3)])
     # the first vector in canonical order and the first of another dimension
@@ -491,3 +495,96 @@ def test_each_call_checks_the_carrier_once(name, monkeypatch):
     pairs.clear()
     assert not UpSet(order).member(query) and pairs == []
     assert x.includes(x) and pairs == [(x.gens[0], x.gens[0])]
+
+
+# ------------------------------------------- the laws of the upset algebra
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_union_includes_and_intersection_laws(case):
+    # the universe holds every generator of x and y, so inclusion on it
+    # is inclusion of the sets
+    order, gens, others, queries, _ = case
+    x, y = UpSet(order, gens), UpSet(order, others)
+    universe = gens + others + queries
+    xy = x.union(y)
+    for v in universe:
+        assert xy.member(v) == (x.member(v) or y.member(v))
+    for big, small in ((x, y), (y, x), (xy, x), (xy, y)):
+        assert big.includes(small) == all(big.member(v) for v in universe if small.member(v))
+    assert (x.includes(y) and y.includes(x)) == (x == y)
+    if order is leq:
+        both = intersect_dickson(x, y)
+        for v in universe:
+            assert both.member(v) == (x.member(v) and y.member(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases((leq_e, leq_E)), st.integers(0, 1))
+# a.ba = aba lies above ab under leq_E, so ba is in that quotient
+@example((leq_E, [Word(AB, (0, 1))], [], [Word(AB, (1, 0))], Word(XY)), 0)
+def test_quotient_law_or_refusal(case, a):
+    order, gens, _, queries, _ = case
+    x = UpSet(order, gens)
+    try:
+        q = quotient(a, x)
+    except ValueError:
+        assert order is not leq_e
+        return
+    for y in queries:
+        assert q.member(y) == x.member(Word(AB, (a,) + y.letters))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases((leq, leq_E)))
+def test_transport_reflects_membership(case):
+    order, gens, _, queries, _ = case
+    f = dickson_word_embedding(len(queries[0])) if order is leq else labeling_embedding()
+    x = UpSet(order, gens)
+    t = transport_upset(f, x)
+    for v in queries:
+        assert t.member(f(v)) == x.member(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_cases((leq,)))
+def test_phi_slice_is_antitone(case):
+    _, gens, _, queries, _ = case
+    f = dickson_upset(gens)
+    points = [v[:-1] for v in queries]
+    for a, b in product(points, points):
+        if leq(a, b):
+            assert phi_slice(f, a) >= phi_slice(f, b)
+
+
+# one element of each order's carrier
+ELEMENT = {
+    leq: (1, 2),
+    _custom_leq: (1, 2),
+    leq_e: Word(AB, (0, 1)),
+    leq_E: Word(AB, (0, 1)),
+    labeled_leq: phi(Word(AB, (0, 1))),
+}
+# operation -> (call on one upset, the orders it takes as named, the orders it refuses)
+REFUSALS = {
+    "quotient": (lambda x: quotient(0, x), "leq_e", (leq, _custom_leq, leq_E, labeled_leq)),
+    "som": (som, "a word order", (leq, labeled_leq)),
+    "intersect_dickson": (
+        lambda x: intersect_dickson(x, x), "leq", (_custom_leq, leq_e, leq_E, labeled_leq)
+    ),
+    "phi_slice": (lambda x: phi_slice(x, (1,)), "leq", (_custom_leq, leq_e, leq_E, labeled_leq)),
+}
+
+
+@pytest.mark.parametrize("op,order", [
+    pytest.param(op, order, id=f"{op}-{order.__name__}")
+    for op, (_, _, refused) in REFUSALS.items()
+    for order in refused
+])
+def test_each_operation_refuses_the_orders_it_does_not_take(op, order):
+    call, takes, _ = REFUSALS[op]
+    for x in (UpSet(order), UpSet(order, [ELEMENT[order]])):
+        with pytest.raises(ValueError) as err:
+            call(x)
+        assert str(err.value) == f"{op} takes upsets under {takes}, not under {order.__name__}"

@@ -63,6 +63,8 @@ def test_from_letters_keeps_other_characters():
 
 def test_doubled_alphabet_layout():
     d = AB.doubled()
+    # one object per alphabet, equal alphabets included
+    assert AB.doubled() is d and Alphabet.from_letters("ab").doubled() is d
     # letter i with flag f must sit at index 2*i + f
     assert d.names == ("a0", "a1", "b0", "b1")
     assert d.index("b0") == 2 * 1 + 0
