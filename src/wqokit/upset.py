@@ -14,20 +14,31 @@ rebound here (as a tracer does) is the one they take.
 Each library order has a kernel row in `_KERNELS`: a check that two
 elements share a carrier (one dimension, one alphabet), the key of an
 element (the vector, the letters, the flagged letters with the support),
-and a raw comparison of two keys that checks nothing. An UpSet keeps the
-keys of its generators in the derived slot `_keys`, which is not a field.
-So the carrier is checked once per call at the UpSet boundary: member and
-includes check one pair, normalization checks each element against the
-first, and every comparison after that compares keys. An order that has
-no row, a custom predicate or a wrapped one, takes the default row: no
-check, the element as its own key, and the order itself as the
-comparison, which checks what it checks on every pair.
+a raw comparison of two keys that checks nothing, and the size of a key.
+An UpSet keeps the keys of its generators in the derived slot `_keys`,
+which is not a field. So the carrier is checked once per call at the
+UpSet boundary: member and includes check one pair, normalization checks
+each element against the first, and every comparison after that compares
+keys. An order that has no row, a custom predicate or a wrapped one,
+takes the default row: no check, the element as its own key, the order
+itself as the comparison, which checks what it checks on every pair, and
+no size.
+
+The size is the length rule of the three word orders, `leq_e`, `leq_E`
+and `labeled_leq`: it is the length of the letters, and an element
+strictly below another is strictly shorter, since an embedding between
+words of one length is the identity. So normalization compares an
+element only with the generators kept at shorter lengths, and member
+and includes run the raw comparison only on the generators shorter than
+the query and answer one of its own length by key equality. `vec_leq`
+and custom orders have no size and compare against every generator.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from itertools import repeat
 from operator import attrgetter
 from typing import Any, Callable, Iterable
@@ -67,39 +78,60 @@ def _unchecked(a, b) -> None:
     pass
 
 
+def _letters_len(k: tuple) -> int:
+    return len(k[1])
+
+
 # order -> (check of two elements, key of an element, raw comparison of
-# two keys): leq(a, b) is check(a, b), then raw(key(a), key(b))
+# two keys, size of a key or None): leq(a, b) is check(a, b), then
+# raw(key(a), key(b)); with a size, raw(j, k) holds for j != k only if
+# size(j) < size(k)
 _KERNELS = {
-    vec_leq: (_require_same_dim, _itself, _below),
-    leq_e: (_require_same_alphabet, attrgetter("letters"), _embeds),
-    leq_E: (_require_same_alphabet, lambda w: _flagged(w.letters), _supported_embeds),
+    vec_leq: (_require_same_dim, _itself, _below, None),
+    leq_e: (_require_same_alphabet, attrgetter("letters"), _embeds, len),
+    leq_E: (
+        _require_same_alphabet,
+        lambda w: _flagged(w.letters),
+        _supported_embeds,
+        _letters_len,
+    ),
     labeled_leq: (
         lambda p, q: _require_same_alphabet(p.word, q.word),
         lambda p: (p.support, p.word.letters),
         _supported_embeds,
+        _letters_len,
     ),
 }
 
 
 def _kernel(leq: Callable[[Any, Any], bool]) -> tuple:
     """The kernel row of leq; any other order checks nothing and compares itself."""
-    return _KERNELS.get(leq) or (_unchecked, _itself, leq)
+    return _KERNELS.get(leq) or (_unchecked, _itself, leq, None)
 
 
 def _minimal(leq: Callable[[Any, Any], bool], elems: Iterable) -> tuple[tuple, tuple]:
-    """The minimal elements of elems in _key order, and their keys."""
+    """The minimal elements of elems in _key order, and their keys.
+
+    Under an order with a size (the word orders) an element is compared
+    only with the keys kept before its length began: a kept element of
+    its own length is another word of that length, never below it.
+    """
     # one pass in _key order: whatever lies strictly below x sorts before
     # it, and whatever lies below a dropped element lies below a kept one.
     # Each element is checked against the first one only: that is the
     # first pair a checked comparison would meet, so the same element
     # raises the same error.
-    check, keyof, raw = _kernel(leq)
+    check, keyof, raw, size = _kernel(leq)
     kept, keys = [], []
+    below, length = keys, None
     for x in sorted(dict.fromkeys(elems), key=_key):
         if kept:
             check(kept[0], x)
         k = keyof(x)
-        if not any(map(raw, keys, repeat(k))):
+        # _key sorts by length first: snapshot the shorter keys once per length
+        if size is not None and size(k) != length:
+            below, length = keys[:], size(k)
+        if not any(map(raw, below, repeat(k))):
             kept.append(x)
             keys.append(k)
     return tuple(kept), tuple(keys)
@@ -116,6 +148,10 @@ class UpSet(_Value):
     Normalization needs `leq` to be a partial order under which an
     element strictly below another sorts first by length, then
     lexicographically; `vec_leq`, `leq_e`, `leq_E` and `labeled_leq` are.
+    Under the three word orders an element strictly below another is
+    strictly shorter, so normalization, member and includes compare only
+    against shorter generators; vectors and custom orders compare against
+    every generator.
     """
 
     __slots__ = ("leq", "gens", "_keys")
@@ -129,9 +165,9 @@ class UpSet(_Value):
         """True iff x lies above some generator."""
         if not self.gens:
             return False
-        check, keyof, raw = _kernel(self.leq)
+        check, keyof, raw, size = _kernel(self.leq)
         check(self.gens[0], x)
-        return any(map(raw, self._keys, repeat(keyof(x))))
+        return self._above(raw, size, keyof(x))
 
     def includes(self, other: "UpSet") -> bool:
         """True iff other is contained in self.
@@ -141,9 +177,21 @@ class UpSet(_Value):
         self._check_order(other)
         if not (self.gens and other.gens):
             return not other.gens
-        check, _, raw = _kernel(self.leq)
+        check, _, raw, size = _kernel(self.leq)
         check(self.gens[0], other.gens[0])
-        return all(any(map(raw, self._keys, repeat(k))) for k in other._keys)
+        return all(self._above(raw, size, k) for k in other._keys)
+
+    def _above(self, raw, size, k) -> bool:
+        """True iff the key k lies above the key of some generator."""
+        keys = self._keys
+        if size is None:
+            return any(map(raw, keys, repeat(k)))
+        # the keys sort by size: shorter ones may lie below k, and of k's
+        # own size only k itself does
+        n = size(k)
+        lo = bisect_left(keys, n, key=size)
+        hi = bisect_right(keys, n, lo, key=size)
+        return k in keys[lo:hi] or any(map(raw, keys[:lo], repeat(k)))
 
     def union(self, other: "UpSet") -> "UpSet":
         self._check_order(other)

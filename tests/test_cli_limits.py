@@ -2,8 +2,8 @@
 ranges, letter indices that would need a huge inferred alphabet, and
 `cover --oracle-bound` values the oracle cannot use or whose box holds
 too many reachable markings, nets with more places than the
-saturation's trie takes, and `upset intersect` inputs that need too
-many joins."""
+saturation's trie takes, `upset intersect` inputs that need too many
+joins, and `seq good-pair` searches that need too many comparisons."""
 
 import pytest
 
@@ -158,3 +158,29 @@ def test_intersect_at_the_join_limit_is_answered(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr() == (
         "", "error: intersecting 3 and 3 generators makes 9 joins, over the limit of 6\n"
     )
+
+
+def test_good_pair_search_over_the_comparison_limit_fails(tmp_path, monkeypatch, capsys):
+    # a bad sequence of 4 vectors takes 6 comparisons
+    monkeypatch.setattr(cli, "_MAX_COMPARISONS", 6)
+    bad = tmp_path / "bad.seq"
+    bad.write_text("(3,0)\n(2,1)\n(1,2)\n(0,3)\n")
+    assert run(["seq", "good-pair", str(bad)]) == 1
+    assert capsys.readouterr() == ("bad\n", "")
+    # the sixth comparison finds the pair (2, 3)
+    good = tmp_path / "good.seq"
+    good.write_text("(3,0)\n(2,1)\n(1,2)\n(1,3)\n")
+    assert run(["seq", "good-pair", str(good)]) == 0
+    assert capsys.readouterr() == ("good pair: 2 3\n  (1,2) <= (1,3)\n", "")
+    monkeypatch.setattr(cli, "_MAX_COMPARISONS", 5)
+    for path in (bad, good):
+        assert run(["seq", "good-pair", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: searching 4 elements for a good pair makes more than "
+            "5 comparisons, the limit\n"
+        ))
+    # a pair found early is answered however long the sequence
+    early = tmp_path / "early.seq"
+    early.write_text("a\nab\n" + "b\n" * 100)
+    assert run(["seq", "good-pair", str(early)]) == 0
+    assert capsys.readouterr() == ("good pair: 0 1\n  a <= ab\n", "")

@@ -409,8 +409,27 @@ def _raised(f, *args):
     return None
 
 
+def _w(*letters: int) -> Word:
+    return Word(AB, letters)
+
+
 @settings(max_examples=400, deadline=None)
 @given(kernel_cases())
+# the empty word as a generator
+@example((leq_e, [_w(), _w(0, 1)], [_w(1)], [_w(), _w(1, 0)], Word(XY)))
+# a query shorter than every generator
+@example((leq_E, [_w(0, 1), _w(1, 1, 0)], [_w(1, 0)], [_w(0), _w()], Word(XY)))
+# a query equal to a generator
+@example((leq_e, [_w(0, 1), _w(1, 1)], [_w(0, 1)], [_w(1, 1), _w(0, 1)], Word(XY)))
+@example((
+    labeled_leq,
+    [phi(_w(0, 1)), phi(_w(1))],
+    [phi(_w(0, 1))],
+    [phi(_w(0, 1)), phi(_w(1))],
+    phi(Word(XY)),
+))
+# leq_E words of one length with different supports
+@example((leq_E, [_w(0, 0), _w(0, 1)], [_w(1, 1), _w(1, 0)], [_w(1, 1), _w(0, 0, 1)], Word(XY)))
 def test_kernels_agree_with_the_oracles(case):
     order, gens, others, queries, _ = case
     oracle = ORACLES[order]
@@ -480,14 +499,14 @@ CHECK_CASES = {
 @pytest.mark.parametrize("name", CHECK_CASES)
 def test_each_call_checks_the_carrier_once(name, monkeypatch):
     order, elems, query = CHECK_CASES[name]
-    check, keyof, raw = upset._KERNELS[order]
+    check, keyof, raw, size = upset._KERNELS[order]
     pairs = []
 
     def counted(a, b):
         pairs.append((a, b))
         check(a, b)
 
-    monkeypatch.setitem(upset._KERNELS, order, (counted, keyof, raw))
+    monkeypatch.setitem(upset._KERNELS, order, (counted, keyof, raw, size))
     x = UpSet(order, elems + elems[::-1])
     assert len(x.gens) == len(elems) and len(pairs) == len(elems) - 1
     pairs.clear()
@@ -495,6 +514,76 @@ def test_each_call_checks_the_carrier_once(name, monkeypatch):
     pairs.clear()
     assert not UpSet(order).member(query) and pairs == []
     assert x.includes(x) and pairs == [(x.gens[0], x.gens[0])]
+
+
+# ------------------------------------- comparisons the length rule saves
+
+WORD_ORDERS = (leq_e, leq_E, labeled_leq)
+# all 27 words of length 3 over abc: each word order keeps them all
+ABC3 = [Word(Alphabet.from_letters("abc"), t) for t in product(range(3), repeat=3)]
+
+
+def _element(order, w: Word):
+    return phi(w) if order is labeled_leq else w
+
+
+def _counted_raw(monkeypatch, order) -> list:
+    """The pairs of keys that order's raw comparison sees from now on."""
+    check, keyof, raw, size = upset._KERNELS[order]
+    seen = []
+
+    def counted(j, k):
+        seen.append((j, k))
+        return raw(j, k)
+
+    monkeypatch.setitem(upset._KERNELS, order, (check, keyof, counted, size))
+    return seen
+
+
+@pytest.mark.parametrize("order", WORD_ORDERS, ids=lambda o: o.__name__)
+def test_words_of_one_length_are_never_compared(order, monkeypatch):
+    seen = _counted_raw(monkeypatch, order)
+    elems = [_element(order, w) for w in ABC3]
+    x, subset, overlap = (UpSet(order, elems[i:j]) for i, j in ((0, 20), (5, 15), (15, 25)))
+    calls = {"building": len(seen)}
+    seen.clear()
+    for name, ask, want in (
+        ("a generator", lambda: x.member(elems[3]), True),
+        ("another word", lambda: x.member(elems[20]), False),
+        ("a subset", lambda: x.includes(subset), True),
+        ("an overlap", lambda: x.includes(overlap), False),
+    ):
+        assert ask() is want
+        calls[name] = len(seen)
+        seen.clear()
+    assert len(x.gens) == 20
+    # comparing every pair makes 190 + 45 + 45 when building the three
+    # upsets, then 4, 20, 105 and 110 (a pass over x up to the first hit)
+    assert calls == dict.fromkeys(calls, 0)
+
+
+@pytest.mark.parametrize("order", WORD_ORDERS, ids=lambda o: o.__name__)
+def test_only_shorter_generators_are_compared(order, monkeypatch):
+    seen = _counted_raw(monkeypatch, order)
+    abc = ABC3[0].alphabet
+    x = UpSet(order, [_element(order, Word(abc, t)) for t in ((0,), (1, 2), (2, 2), (1, 1, 1))])
+    assert len(x.gens) == 4
+    seen.clear()
+    # cbb meets a, bc and cc, and not bbb, which is of its own length
+    assert not x.member(_element(order, Word(abc, (2, 1, 1))))
+    assert len(seen) == 3
+
+
+def test_a_quotient_makes_a_pinned_number_of_comparisons(monkeypatch):
+    abc = ABC3[0].alphabet
+    x = word_upset(parse_word(t, abc) for t in ("aab", "abc", "bbb", "bcc", "cab", "ccc"))
+    seen = _counted_raw(monkeypatch, leq_e)
+    q = quotient(0, x)
+    assert [str(g) for g in q.gens] == ["ab", "bc", "bbb", "ccc"]
+    # the tails ab and bc are not compared with each other, nor ccc with
+    # bbb, the word of its length kept before it: comparing every pair
+    # makes 9
+    assert len(seen) == 7
 
 
 # ------------------------------------------- the laws of the upset algebra
