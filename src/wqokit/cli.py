@@ -115,13 +115,21 @@ def _parse_elem(alpha: Alphabet | None, text: str):
     return words.parse_word(text, alpha)
 
 
+# normalizing n pairwise incomparable 2-dimensional vectors compares every
+# pair: 5,000 took 5.6-7.0 s, 6,000 7.0-8.1 s, 7,000 12.2 s, 8,000 15.1 s,
+# and a union of two blocks of 3,000 11.0-11.7 s, on a 2-core VM under
+# Python 3.11, process start included
+_MAX_VECTORS = 6_000
+
+
 def _upsets(ns, *paths, extra=(), letters=(), only=None):
     """Read the blocks at paths; return (alphabet or None, printer, one upset each).
 
     The carrier is picked from the pooled texts (the generators plus the
     extra element or point) and checked against `only` before parsing;
     with no text at all, the upsets are empty and take the carrier that
-    `only` names (words when it names none).
+    `only` names (words when it names none). Vector blocks holding more
+    than _MAX_VECTORS generators between them are refused before parsing.
     """
     blocks = [upset.parse_upset_block(_read(p))[1] for p in paths]
     texts = [t for toks in blocks for t in toks] + list(extra)
@@ -130,6 +138,9 @@ def _upsets(ns, *paths, extra=(), letters=(), only=None):
         if texts:
             raise CliError(f"{ns.op} is available for {only} upsets only")
         alpha = None
+    gens = sum(map(len, blocks))
+    if alpha is None and gens > _MAX_VECTORS:
+        raise CliError(f"the input has {gens} vector generators, over the limit of {_MAX_VECTORS}")
     make = upset.dickson_upset if alpha is None else upset.word_upset
     return alpha, show, [make([_parse_elem(alpha, t) for t in toks]) for toks in blocks]
 
@@ -137,18 +148,18 @@ def _upsets(ns, *paths, extra=(), letters=(), only=None):
 # ---------------------------------------------------------------- verbs
 
 
+# relation -> the module and name of its order, read when it is called, so
+# an order rebound there (as a tracer does) is the one called
+_RELATIONS = {"leq-e": (words, "leq_e"), "leq-E": (words, "leq_E"), "dickson": (dickson, "leq")}
+
+
 def _cmd_order(ns) -> tuple[int, str]:
-    if ns.relation == "dickson":
-        a = dickson.parse_vec(ns.left)
-        b = dickson.parse_vec(ns.right)
-        return _bool(dickson.leq(a, b))
-    alpha = _carrier([ns.left, ns.right], ns.alphabet)[0]
-    if alpha is None:
+    module, name = _RELATIONS[ns.relation]
+    alpha = None if module is dickson else _carrier([ns.left, ns.right], ns.alphabet)[0]
+    if alpha is None and module is words:
         raise CliError(f"{ns.relation} compares words, not vectors")
-    u = words.parse_word(ns.left, alpha)
-    v = words.parse_word(ns.right, alpha)
-    rel = words.leq_e if ns.relation == "leq-e" else words.leq_E
-    return _bool(rel(u, v))
+    leq = getattr(module, name)
+    return _bool(leq(_parse_elem(alpha, ns.left), _parse_elem(alpha, ns.right)))
 
 
 # a bad sequence of n elements takes n(n-1)/2 comparisons: 3,000 words
@@ -158,25 +169,25 @@ _MAX_COMPARISONS = 5_000_000
 
 
 def _cmd_seq(ns) -> tuple[int, str]:
-    lines = _read(ns.file).splitlines()
-    texts = [ln.split("#", 1)[0].strip() for ln in lines]
+    texts = [ln.split("#", 1)[0].strip() for ln in _read(ns.file).splitlines()]
     texts = [t for t in texts if t]
     if not texts:
         raise CliError(f"no elements in {ns.file}")
     alpha, show = _carrier(texts, ns.alphabet)
     seq = [_parse_elem(alpha, t) for t in texts]
-    leq = dickson.leq if alpha is None else words.leq_e
+    # checked once here, so the capped search compares unchecked keys
+    keys, raw, _ = upset._keyed(dickson.leq if alpha is None else words.leq_e, seq)
     made = count(1)
 
-    def capped(a, b) -> bool:
+    def capped(j, k) -> bool:
         if next(made) > _MAX_COMPARISONS:
             raise CliError(
                 f"searching {len(seq)} elements for a good pair makes more than "
                 f"{_MAX_COMPARISONS} comparisons, the limit"
             )
-        return leq(a, b)
+        return raw(j, k)
 
-    pair = orders.find_good_pair(seq, capped)
+    pair = orders.find_good_pair(keys, capped)
     if pair is None:
         return 1, "bad"
     i, j = pair
@@ -318,7 +329,7 @@ def _cmd_cover(ns) -> tuple[int, str]:
 # of verbs, declared in the "group verb" rows after it.
 _COMMANDS = [
     ("order", "compare two elements", _cmd_order, (
-        ("relation", {"choices": ["leq-e", "leq-E", "dickson"]}),
+        ("relation", {"choices": list(_RELATIONS)}),
         "left", "right", "--alphabet")),
     ("seq", "analyze a sequence file", None, ()),
     ("seq good-pair", "first i<j with seq[i] <= seq[j]", _cmd_seq, ("file", "--alphabet")),

@@ -4,12 +4,23 @@ An order is passed around as a plain callable ``leq(a, b) -> bool``; every
 function here works for any partial order on any carrier. Witness-producing
 searches break ties deterministically: the lexicographically smallest witness
 is always returned.
+
+The searches compare the way upsets do (``upset._keyed``). Under a library
+order (``leq``, ``leq_e``, ``leq_E``, ``labeled_leq``) a search checks each
+element's carrier against the first element's once per call, then compares
+precomputed keys without further checks; so a sequence that mixes
+dimensions or alphabets raises before any answer, with the error the
+order gives for the first element and the first one of another carrier.
+A custom order is called itself on every pair, as it is given.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import combinations
 from typing import Callable, NamedTuple, Sequence, TypeVar
+
+from .upset import _keyed
 
 T = TypeVar("T")
 Leq = Callable[[T, T], bool]
@@ -66,9 +77,10 @@ def find_good_pair(seq: Sequence[T], leq: Leq) -> tuple[int, int] | None:
     A sequence without such a pair is called bad. Indices are compared
     lexicographically, so the witness is deterministic.
     """
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if leq(seq[i], seq[j]):
+    keys, raw, _ = _keyed(leq, seq)
+    for i, k in enumerate(keys):
+        for j in range(i + 1, len(keys)):
+            if raw(k, keys[j]):
                 return (i, j)
     return None
 
@@ -95,13 +107,12 @@ def homogeneous_subsequence(
     """
     if k < 1:
         raise ValueError("subsequence length k must be at least 1")
-    n = len(seq)
+    keys, raw, _ = _keyed(leq, seq)
+    n = len(keys)
     if k > n:
         return None
-    rel: list[list[PairClass | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rel[i][j] = classify(seq[i], seq[j], leq)
+    # the class of each pair (i, j) with i < j
+    rel = {(i, j): classify(keys[i], keys[j], raw) for i, j in combinations(range(n), 2)}
     for shape in SubseqClass:
         indices = _smallest(rel, n, k, _PAIR_FOR[shape])
         if indices is not None:
@@ -118,13 +129,13 @@ def _smallest(rel, n: int, k: int, want: PairClass) -> tuple[int, ...] | None:
     room = [1] * n
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
-            if rel[i][j] is want and room[j] >= room[i]:
+            if rel[i, j] is want and room[j] >= room[i]:
                 room[i] = room[j] + 1
     chosen: list[int] = []
     j = 0
     while len(chosen) < k:
         if j < n:
-            if room[j] >= k - len(chosen) and all(rel[i][j] is want for i in chosen):
+            if room[j] >= k - len(chosen) and all(rel[i, j] is want for i in chosen):
                 chosen.append(j)
             j += 1
         elif chosen:

@@ -19,10 +19,11 @@ An UpSet keeps the keys of its generators in the derived slot `_keys`,
 which is not a field. So the carrier is checked once per call at the
 UpSet boundary: member and includes check one pair, normalization checks
 each element against the first, and every comparison after that compares
-keys. An order that has no row, a custom predicate or a wrapped one,
-takes the default row: no check, the element as its own key, the order
-itself as the comparison, which checks what it checks on every pair, and
-no size.
+keys. `_keyed` is that step for a list of elements: normalization and the
+sequence searches of `orders` both take it. An order that has no row, a
+custom predicate or a wrapped one, takes the default row: no check, the
+element as its own key, the order itself as the comparison, which checks
+what it checks on every pair, and no size.
 
 The size is the length rule of the three word orders, `leq_e`, `leq_E`
 and `labeled_leq`: it is the length of the letters, and an element
@@ -41,7 +42,7 @@ import re
 from bisect import bisect_left, bisect_right
 from itertools import repeat
 from operator import attrgetter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .dickson import DimensionMismatch, NatVec, _below, _require_same_dim, _Value
 from .dickson import format_vec, join
@@ -105,8 +106,26 @@ _KERNELS = {
 
 
 def _kernel(leq: Callable[[Any, Any], bool]) -> tuple:
-    """The kernel row of leq; any other order checks nothing and compares itself."""
-    return _KERNELS.get(leq) or (_unchecked, _itself, leq, None)
+    """The kernel row of leq; any other order checks nothing and compares itself.
+
+    An unhashable callable (its __hash__ is None) is never a library order,
+    so it is not looked up.
+    """
+    return (leq.__hash__ and _KERNELS.get(leq)) or (_unchecked, _itself, leq, None)
+
+
+def _keyed(leq: Callable[[Any, Any], bool], elems: Sequence) -> tuple:
+    """The keys of elems under leq's kernel row (a list), its raw comparison and size.
+
+    Each element is checked against the first one only: that is the first
+    pair a checked comparison of elems would meet, so the same element
+    raises the same error. An order without a row checks nothing and
+    keys each element as itself.
+    """
+    check, keyof, raw, size = _kernel(leq)
+    for x in elems[1:]:
+        check(elems[0], x)
+    return list(map(keyof, elems)), raw, size
 
 
 def _minimal(leq: Callable[[Any, Any], bool], elems: Iterable) -> tuple[tuple, tuple]:
@@ -117,17 +136,12 @@ def _minimal(leq: Callable[[Any, Any], bool], elems: Iterable) -> tuple[tuple, t
     its own length is another word of that length, never below it.
     """
     # one pass in _key order: whatever lies strictly below x sorts before
-    # it, and whatever lies below a dropped element lies below a kept one.
-    # Each element is checked against the first one only: that is the
-    # first pair a checked comparison would meet, so the same element
-    # raises the same error.
-    check, keyof, raw, size = _kernel(leq)
+    # it, and whatever lies below a dropped element lies below a kept one
+    elems = sorted(dict.fromkeys(elems), key=_key)
+    all_keys, raw, size = _keyed(leq, elems)
     kept, keys = [], []
     below, length = keys, None
-    for x in sorted(dict.fromkeys(elems), key=_key):
-        if kept:
-            check(kept[0], x)
-        k = keyof(x)
+    for x, k in zip(elems, all_keys):
         # _key sorts by length first: snapshot the shorter keys once per length
         if size is not None and size(k) != length:
             below, length = keys[:], size(k)
@@ -282,9 +296,11 @@ def quotient(a: int, x: UpSet) -> UpSet:
 def som(x: UpSet) -> frozenset[int]:
     """Starting letters of the minimal elements of a word upset.
 
-    x may be under any order but vec_leq and labeled_leq.
+    x may be under any order but vec_leq and labeled_leq, and its
+    generators must be words.
     """
-    _require("som", x, x.leq is not vec_leq and x.leq is not labeled_leq, "a word order")
+    takes = x.leq is not vec_leq and x.leq is not labeled_leq
+    _require("som", x, takes and all(isinstance(g, Word) for g in x.gens), "a word order")
     return frozenset(g.letters[0] for g in x.gens if g.letters)
 
 

@@ -3,7 +3,8 @@ ranges, letter indices that would need a huge inferred alphabet, and
 `cover --oracle-bound` values the oracle cannot use or whose box holds
 too many reachable markings, nets with more places than the
 saturation's trie takes, `upset intersect` inputs that need too many
-joins, and `seq good-pair` searches that need too many comparisons."""
+joins, vector blocks with too many generators, and `seq good-pair`
+searches that need too many comparisons or mix dimensions."""
 
 import pytest
 
@@ -184,3 +185,47 @@ def test_good_pair_search_over_the_comparison_limit_fails(tmp_path, monkeypatch,
     early.write_text("a\nab\n" + "b\n" * 100)
     assert run(["seq", "good-pair", str(early)]) == 0
     assert capsys.readouterr() == ("good pair: 0 1\n  a <= ab\n", "")
+
+
+def test_good_pair_search_refuses_two_dimensions_before_an_answer(tmp_path, capsys):
+    # the pair (0, 1) is good, but the third vector has another dimension
+    seq = tmp_path / "mixed.seq"
+    seq.write_text("(1,0)\n(1,0)\n(1,2,3)\n")
+    assert run(["seq", "good-pair", str(seq)]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: dimension mismatch: (1,0) is 2-dimensional, (1,2,3) is 3-dimensional\n"
+    ))
+
+
+def test_vector_blocks_over_the_generator_limit_fail_before_parsing(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "_MAX_VECTORS", 4)
+    two, three = antichain(tmp_path, "two.up", 2), antichain(tmp_path, "three.up", 3)
+    four, five = antichain(tmp_path, "four.up", 4), antichain(tmp_path, "five.up", 5)
+    assert run(["upset", "normalize", four]) == 0
+    assert capsys.readouterr() == ("upset {\n  (0,4)\n  (1,3)\n  (2,2)\n  (3,1)\n}\n", "")
+    assert run(["upset", "union", two, two]) == 0
+    assert capsys.readouterr() == ("upset {\n  (0,2)\n  (1,1)\n}\n", "")
+    assert run(["upset", "member", "(9,9)", four]) == 0
+    assert capsys.readouterr() == ("true\n", "")
+    # word blocks have no such limit
+    words = tmp_path / "words.up"
+    words.write_text("upset { ab ba a b aa }")
+    assert run(["upset", "normalize", str(words)]) == 0
+    assert capsys.readouterr() == ("upset {\n  a\n  b\n}\n", "")
+
+    def no_parse(*args):
+        pytest.fail("an element was parsed")
+
+    monkeypatch.setattr(cli, "_parse_elem", no_parse)
+    for argv, n in (
+        (["upset", "normalize", five], 5),
+        (["upset", "union", two, three], 5),
+        (["upset", "member", "(9,9)", five], 5),
+        (["upset", "intersect", three, three], 6),
+    ):
+        assert run(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: the input has {n} vector generators, over the limit of 4\n"
+        )

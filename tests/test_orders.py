@@ -12,11 +12,14 @@ from wqokit import (
     find_good_pair,
     homogeneous_subsequence,
     is_bad,
+    labeled_leq,
     leq,
     leq_E,
     leq_e,
     parse_word,
+    phi,
 )
+from wqokit import upset, words
 
 from oracles import first_good_pair, pair_tag, smallest_homogeneous
 
@@ -177,3 +180,91 @@ def test_homogeneous_witness_is_uniform():
             for y in range(x + 1, len(idxs)):
                 tag = pair_tag(seq[idxs[x]], seq[idxs[y]], leq)
                 assert tag == want_tag[got.shape]
+
+
+# ------------------------------------------- one carrier check per search
+
+A_AB, A_ABC = Word(AB, (0,)), Word(Alphabet.from_letters("abc"), (0,))
+# a sequence whose pair (0, 1) is good, then an element of another carrier
+# (or the first element alone of its carrier), under each library order
+MIXED = {
+    "dickson": (leq, [(1, 0), (1, 0), (1, 2, 3)]),
+    "dickson-first": (leq, [(1, 2, 3), (1, 0), (1, 0)]),
+    "leq_e": (leq_e, [A_AB, A_AB, A_ABC]),
+    "leq_E": (leq_E, [A_AB, A_AB, A_ABC]),
+    "labeled": (labeled_leq, [phi(A_AB), phi(A_AB), phi(A_ABC)]),
+}
+
+
+@pytest.mark.parametrize("name", MIXED)
+def test_a_sequence_of_two_carriers_is_refused_before_an_answer(name):
+    order, seq = MIXED[name]
+    # the error of the checked order on seq[0] and the first element it refuses
+    for x in seq[1:]:
+        try:
+            order(seq[0], x)
+        except ValueError as exc:
+            want = exc
+            break
+    searches = [lambda: find_good_pair(seq, order), lambda: is_bad(seq, order)]
+    searches += [lambda k=k: homogeneous_subsequence(seq, k, order) for k in (1, 2, 4)]
+    for search in searches:
+        with pytest.raises(ValueError) as err:
+            search()
+        assert err.type is type(want) and str(err.value) == str(want)
+
+
+def test_a_search_checks_the_carrier_once_then_compares_keys(monkeypatch):
+    seq = [parse_word(t, AB) for t in ("ab", "ba", "a", "b", "bab", "ab")]
+    want = (
+        first_good_pair(seq, leq_E),
+        smallest_homogeneous(seq, 2, leq_E),
+    )
+    check, keyof, raw, size = upset._KERNELS[leq_E]
+    checks, keyed = [], []
+
+    def counted_check(a, b):
+        checks.append((a, b))
+        check(a, b)
+
+    def counted_key(w):
+        keyed.append(w)
+        return keyof(w)
+
+    def checked(u, v):
+        pytest.fail("a checked comparison was made")
+
+    monkeypatch.setitem(upset._KERNELS, leq_E, (counted_check, counted_key, raw, size))
+    # words.leq_E checks the alphabet through this name on every call
+    monkeypatch.setattr(words, "_require_same_alphabet", checked)
+    got = []
+    for search in (
+        lambda: find_good_pair(seq, leq_E),
+        lambda: is_bad(seq, leq_E),
+        lambda: homogeneous_subsequence(seq, 2, leq_E),
+    ):
+        checks.clear()
+        keyed.clear()
+        got.append(search())
+        assert checks == [(seq[0], x) for x in seq[1:]]
+        assert keyed == seq
+    assert got[0] == want[0] == (0, 5)
+    assert got[1] is False
+    assert (got[2].indices, got[2].shape) == (want[1][0], TAG_TO_SHAPE[want[1][1]])
+
+
+class _UnhashableLe:
+    """A custom order whose class defines __eq__ and so has no hash."""
+
+    def __eq__(self, other):
+        return self is other
+
+    def __call__(self, a, b):
+        return a <= b
+
+
+def test_an_unhashable_custom_order_is_compared_pair_by_pair():
+    le = _UnhashableLe()
+    assert find_good_pair([2, 1, 3], le) == (0, 2)
+    assert not is_bad([2, 1, 3], le)
+    assert homogeneous_subsequence([3, 1, 4, 1, 5], 3, le) == ((0, 2, 4), SubseqClass.ASCENDING)

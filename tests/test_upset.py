@@ -658,7 +658,7 @@ ELEMENT = {
 # operation -> (call on one upset, the orders it takes as named, the orders it refuses)
 REFUSALS = {
     "quotient": (lambda x: quotient(0, x), "leq_e", (leq, _custom_leq, leq_E, labeled_leq)),
-    "som": (som, "a word order", (leq, labeled_leq)),
+    "som": (som, "a word order", (leq, labeled_leq, _custom_leq)),
     "intersect_dickson": (
         lambda x: intersect_dickson(x, x), "leq", (_custom_leq, leq_e, leq_E, labeled_leq)
     ),
@@ -673,7 +673,27 @@ REFUSALS = {
 ])
 def test_each_operation_refuses_the_orders_it_does_not_take(op, order):
     call, takes, _ = REFUSALS[op]
-    for x in (UpSet(order), UpSet(order, [ELEMENT[order]])):
+    # som refuses a custom order by its generators, so it answers the
+    # empty upset (test_som_under_a_custom_order_reads_the_generators)
+    empty = () if (op, order) == ("som", _custom_leq) else (UpSet(order),)
+    for x in (*empty, UpSet(order, [ELEMENT[order]])):
         with pytest.raises(ValueError) as err:
             call(x)
         assert str(err.value) == f"{op} takes upsets under {takes}, not under {order.__name__}"
+
+
+def _custom_word_leq(u, v) -> bool:
+    """A word order the kernel table does not know."""
+    return leq_e(u, v)
+
+
+def test_som_under_a_custom_order_reads_the_generators():
+    assert som(UpSet(_custom_word_leq, [parse_word(t, AB) for t in ("ab", "ba", "bab")])) == {0, 1}
+    assert som(UpSet(_custom_word_leq)) == frozenset()
+    assert som(UpSet(_custom_leq)) == frozenset()
+
+
+def test_a_generator_of_an_unsupported_type_is_refused():
+    for gens in ([1], [(1, 2), 1]):
+        with pytest.raises(TypeError, match="^unsupported generator type int$"):
+            UpSet(_custom_leq, gens)
