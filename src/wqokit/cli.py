@@ -115,11 +115,14 @@ def _parse_elem(alpha: Alphabet | None, text: str):
     return words.parse_word(text, alpha)
 
 
-# normalizing n pairwise incomparable 2-dimensional vectors compares every
-# pair: 5,000 took 5.6-7.0 s, 6,000 7.0-8.1 s, 7,000 12.2 s, 8,000 15.1 s,
-# and a union of two blocks of 3,000 11.0-11.7 s, on a 2-core VM under
-# Python 3.11, process start included
-_MAX_VECTORS = 6_000
+# normalizing n pairwise incomparable vectors of dimension d compares
+# every pair, a comparison walking up to d coordinates: the cap is on
+# n^2 * d. At the cap, 6,000 2-dimensional vectors normalized in 5.6-7.4 s,
+# a union of two blocks of 3,000 that make one antichain in 7.7-9.4 s, and
+# 600 200-dimensional vectors (0,...,0,i,600-i) in 1.2-1.8 s; 1,000 of
+# those (2*10^8) took 3.9 s. On a 2-core VM under Python 3.11, process
+# start included.
+_MAX_VECTOR_WORK = 6_000**2 * 2
 
 
 def _upsets(ns, *paths, extra=(), letters=(), only=None):
@@ -128,8 +131,9 @@ def _upsets(ns, *paths, extra=(), letters=(), only=None):
     The carrier is picked from the pooled texts (the generators plus the
     extra element or point) and checked against `only` before parsing;
     with no text at all, the upsets are empty and take the carrier that
-    `only` names (words when it names none). Vector blocks holding more
-    than _MAX_VECTORS generators between them are refused before parsing.
+    `only` names (words when it names none). Vector blocks whose n
+    generators between them, of the dimension d of the first one, make
+    n^2 * d over _MAX_VECTOR_WORK are refused before parsing.
     """
     blocks = [upset.parse_upset_block(_read(p))[1] for p in paths]
     texts = [t for toks in blocks for t in toks] + list(extra)
@@ -139,8 +143,13 @@ def _upsets(ns, *paths, extra=(), letters=(), only=None):
             raise CliError(f"{ns.op} is available for {only} upsets only")
         alpha = None
     gens = sum(map(len, blocks))
-    if alpha is None and gens > _MAX_VECTORS:
-        raise CliError(f"the input has {gens} vector generators, over the limit of {_MAX_VECTORS}")
+    if alpha is None and gens:
+        dim = texts[0].count(",") + 1
+        if gens * gens * dim > _MAX_VECTOR_WORK:
+            raise CliError(
+                f"the input has {gens} vector generators of dimension {dim}: "
+                f"{gens}^2 * {dim} = {gens * gens * dim}, over the limit of {_MAX_VECTOR_WORK}"
+            )
     make = upset.dickson_upset if alpha is None else upset.word_upset
     return alpha, show, [make([_parse_elem(alpha, t) for t in toks]) for toks in blocks]
 

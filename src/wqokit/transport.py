@@ -95,11 +95,11 @@ def check_quasi_embedding(
     """
     images: dict = {}
     for a1, a2 in sample:
-        if a1 not in images:
-            images[a1] = f(a1)
-        if a2 not in images:
-            images[a2] = f(a2)
-        if f.target_leq(images[a1], images[a2]) and not f.source_leq(a1, a2):
+        # one lookup per element; each image is kept in a 1-tuple, which is
+        # true even when the image is None or 0, so `or` maps an element once
+        b1 = images.get(a1) or images.setdefault(a1, (f(a1),))
+        b2 = images.get(a2) or images.setdefault(a2, (f(a2),))
+        if f.target_leq(b1[0], b2[0]) and not f.source_leq(a1, a2):
             return False, (a1, a2)
     return True, None
 

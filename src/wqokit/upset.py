@@ -13,8 +13,9 @@ rebound here (as a tracer does) is the one they take.
 
 Each library order has a kernel row in `_KERNELS`: a check that two
 elements share a carrier (one dimension, one alphabet), the key of an
-element (the vector, the letters, the flagged letters with the support),
-a raw comparison of two keys that checks nothing, and the size of a key.
+element (the vector; the letters; the length, support and flagged
+letters), a raw comparison of two keys that checks nothing, and the size
+of a key.
 An UpSet keeps the keys of its generators in the derived slot `_keys`,
 which is not a field. So the carrier is checked once per call at the
 UpSet boundary: member and includes check one pair, normalization checks
@@ -28,7 +29,10 @@ what it checks on every pair, and no size.
 The size is the length rule of the three word orders, `leq_e`, `leq_E`
 and `labeled_leq`: it is the length of the letters, and an element
 strictly below another is strictly shorter, since an embedding between
-words of one length is the identity. So normalization compares an
+words of one length is the identity. A `leq_E` or `labeled_leq` key is
+(length, support, letters), so every size is read by a C function (`len`,
+or `operator.itemgetter(0)`): member and includes find the size range of
+a query by bisection without a Python call. So normalization compares an
 element only with the generators kept at shorter lengths, and member
 and includes run the raw comparison only on the generators shorter than
 the query and answer one of its own length by key equality. `vec_leq`
@@ -41,7 +45,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from itertools import repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
 from .dickson import DimensionMismatch, NatVec, _below, _require_same_dim, _Value
@@ -79,14 +83,10 @@ def _unchecked(a, b) -> None:
     pass
 
 
-def _letters_len(k: tuple) -> int:
-    return len(k[1])
-
-
 # order -> (check of two elements, key of an element, raw comparison of
-# two keys, size of a key or None): leq(a, b) is check(a, b), then
-# raw(key(a), key(b)); with a size, raw(j, k) holds for j != k only if
-# size(j) < size(k)
+# two keys, size of a key as a C function or None): leq(a, b) is
+# check(a, b), then raw(key(a), key(b)); with a size, raw(j, k) holds for
+# j != k only if size(j) < size(k)
 _KERNELS = {
     vec_leq: (_require_same_dim, _itself, _below, None),
     leq_e: (_require_same_alphabet, attrgetter("letters"), _embeds, len),
@@ -94,13 +94,13 @@ _KERNELS = {
         _require_same_alphabet,
         lambda w: _flagged(w.letters),
         _supported_embeds,
-        _letters_len,
+        itemgetter(0),
     ),
     labeled_leq: (
         lambda p, q: _require_same_alphabet(p.word, q.word),
-        lambda p: (p.support, p.word.letters),
+        lambda p: (len(p.word.letters), p.support, p.word.letters),
         _supported_embeds,
-        _letters_len,
+        itemgetter(0),
     ),
 }
 

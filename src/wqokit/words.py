@@ -11,11 +11,14 @@ letter tuple and kept in a bounded least-recently-used cache, which
 ``leq_E`` and ``phi`` share; a comparison only looks them up.
 
 Each order is its alphabet check followed by an unchecked comparison of
-letter tuples. ``_embeds`` is the one greedy matcher. ``leq_E`` compares
-(support, flagged letters) keys with ``_supported_embeds``: equal
-supports, then ``_embeds``; ``labeled_leq`` compares its supports and
-words the same way. Upsets call these kernels directly once they have
-checked the alphabet (see ``upset``).
+letter tuples. ``_embeds`` is the greedy matcher of ``leq_e``. ``leq_E``
+compares (length, support, flagged letters) keys with
+``_supported_embeds``: equal supports, then the same greedy match, in one
+frame; the upset kernel of ``labeled_leq`` compares (length, support,
+letters) keys with it too. The length comes first so that an upset reads
+the size of a key with ``operator.itemgetter(0)``, without a Python call.
+Upsets call these kernels directly once they have checked the alphabet
+(see ``upset``).
 
 An alphabet works out two facts about its names once, when it is built:
 the table from name to index, and whether every name is one character.
@@ -181,17 +184,18 @@ _FLAGGED_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_FLAGGED_CACHE_SIZE)
-def _flagged(letters: tuple[int, ...]) -> tuple[frozenset[int], tuple[int, ...]]:
-    """The support of a word, and its flagged letters: its leq_E key.
+def _flagged(letters: tuple[int, ...]) -> tuple[int, frozenset[int], tuple[int, ...]]:
+    """The length of a word, its support and its flagged letters: its leq_E key.
 
     Letter a becomes 2*a at its first occurrence and 2*a + 1 afterwards.
+    The length leads, so an upset reads the size of the key in C.
     """
     seen: set[int] = set()
     out = []
     for a in letters:
         out.append(2 * a + (a in seen))
         seen.add(a)
-    return frozenset(seen), tuple(out)
+    return len(out), frozenset(seen), tuple(out)
 
 
 def phi(u: Word) -> LabeledWord:
@@ -200,7 +204,7 @@ def phi(u: Word) -> LabeledWord:
     The result word lives over the doubled alphabet (letter i with flag f is
     encoded as 2*i + f) and is paired with the support of u.
     """
-    sup, flagged = _flagged(u.letters)
+    _, sup, flagged = _flagged(u.letters)
     return LabeledWord(Word(u.alphabet.doubled(), flagged), sup)
 
 
@@ -225,8 +229,13 @@ def labeled_leq(p: LabeledWord, q: LabeledWord) -> bool:
 
 
 def _supported_embeds(p: tuple, q: tuple) -> bool:
-    """The kernel of leq_E and labeled_leq on (support, letters) keys, unchecked."""
-    return p[0] == q[0] and _embeds(p[1], q[1])
+    """The kernel of leq_E and labeled_leq on (length, support, letters) keys, unchecked.
+
+    The length takes no part: equal supports, then the greedy match.
+    """
+    # _embeds written out: a call to it would be a second Python frame on
+    # every comparison of the two orders
+    return p[1] == q[1] and all(map(contains, repeat(iter(q[2])), p[2]))
 
 
 # A letter-form word is a run of non-space characters, none of them one

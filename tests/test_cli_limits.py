@@ -3,8 +3,9 @@ ranges, letter indices that would need a huge inferred alphabet, and
 `cover --oracle-bound` values the oracle cannot use or whose box holds
 too many reachable markings, nets with more places than the
 saturation's trie takes, `upset intersect` inputs that need too many
-joins, vector blocks with too many generators, and `seq good-pair`
-searches that need too many comparisons or mix dimensions."""
+joins, vector blocks whose generator count squared times their
+dimension is too large, and `seq good-pair` searches that need too many
+comparisons or mix dimensions."""
 
 import pytest
 
@@ -197,10 +198,11 @@ def test_good_pair_search_refuses_two_dimensions_before_an_answer(tmp_path, caps
     ))
 
 
-def test_vector_blocks_over_the_generator_limit_fail_before_parsing(
+def test_vector_blocks_over_the_work_limit_fail_before_parsing(
     tmp_path, monkeypatch, capsys
 ):
-    monkeypatch.setattr(cli, "_MAX_VECTORS", 4)
+    # four 2-dimensional vectors make 4^2 * 2 = 32
+    monkeypatch.setattr(cli, "_MAX_VECTOR_WORK", 32)
     two, three = antichain(tmp_path, "two.up", 2), antichain(tmp_path, "three.up", 3)
     four, five = antichain(tmp_path, "four.up", 4), antichain(tmp_path, "five.up", 5)
     assert run(["upset", "normalize", four]) == 0
@@ -209,6 +211,13 @@ def test_vector_blocks_over_the_generator_limit_fail_before_parsing(
     assert capsys.readouterr() == ("upset {\n  (0,2)\n  (1,1)\n}\n", "")
     assert run(["upset", "member", "(9,9)", four]) == 0
     assert capsys.readouterr() == ("true\n", "")
+    # the dimension counts: two vectors of dimension 8 make 32, of 9 make 36
+    wide = tmp_path / "wide.up"
+    wide.write_text("upset { (1,0,0,0,0,0,0,0) (0,1,0,0,0,0,0,0) }")
+    assert run(["upset", "normalize", str(wide)]) == 0
+    assert capsys.readouterr()[0].count("\n  (") == 2
+    wider = tmp_path / "wider.up"
+    wider.write_text("upset { (1,0,0,0,0,0,0,0,0) (0,1,0,0,0,0,0,0,0) }")
     # word blocks have no such limit
     words = tmp_path / "words.up"
     words.write_text("upset { ab ba a b aa }")
@@ -219,13 +228,15 @@ def test_vector_blocks_over_the_generator_limit_fail_before_parsing(
         pytest.fail("an element was parsed")
 
     monkeypatch.setattr(cli, "_parse_elem", no_parse)
-    for argv, n in (
-        (["upset", "normalize", five], 5),
-        (["upset", "union", two, three], 5),
-        (["upset", "member", "(9,9)", five], 5),
-        (["upset", "intersect", three, three], 6),
+    for argv, n, d in (
+        (["upset", "normalize", five], 5, 2),
+        (["upset", "union", two, three], 5, 2),
+        (["upset", "member", "(9,9)", five], 5, 2),
+        (["upset", "intersect", three, three], 6, 2),
+        (["upset", "normalize", str(wider)], 2, 9),
     ):
         assert run(argv) == 2
-        assert capsys.readouterr() == (
-            "", f"error: the input has {n} vector generators, over the limit of 4\n"
-        )
+        assert capsys.readouterr() == ("", (
+            f"error: the input has {n} vector generators of dimension {d}: "
+            f"{n}^2 * {d} = {n * n * d}, over the limit of 32\n"
+        ))

@@ -98,6 +98,18 @@ def test_check_quasi_embedding_maps_each_element_once():
     assert counting.calls == Counter(pts)
 
 
+@pytest.mark.parametrize("image", [None, 0, ()], ids=repr)
+def test_check_quasi_embedding_maps_each_element_once_whatever_the_image(image):
+    # points with a zero coordinate all map to `image`, the others to themselves
+    pts = box(3, 2)
+    counting = CountingMap(lambda x: image if 0 in x else x)
+    target = lambda p, q: p is not image and q is not image and leq(p, q)
+    f = QuasiEmbedding("falsy", leq, target, counting)
+    ok, witness = check_quasi_embedding(f, product(pts, pts))
+    assert ok and witness is None
+    assert counting.calls == Counter(pts)
+
+
 def length_only(x):
     """Vector to a one-letter word of length sum(x): not order-reflecting."""
     return Word(Alphabet.indexed(1), (0,) * sum(x))

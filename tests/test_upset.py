@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import types
 from itertools import product
 
 import pytest
@@ -330,6 +331,7 @@ def test_block_parse_and_format_roundtrip():
 # ------------------------------------------------ the kernels of UpSet
 
 XY = Alphabet.from_letters("xy")  # as large as AB, other names
+ABC = Alphabet.from_letters("abc")  # room for "ab" to embed in "abc", another support
 _MEMO: dict = {}
 
 
@@ -413,6 +415,10 @@ def _w(*letters: int) -> Word:
     return Word(AB, letters)
 
 
+def _lw(sup, *letters: int) -> LabeledWord:
+    return LabeledWord(Word(AB.doubled(), letters), frozenset(sup))
+
+
 @settings(max_examples=400, deadline=None)
 @given(kernel_cases())
 # the empty word as a generator
@@ -430,6 +436,29 @@ def _w(*letters: int) -> Word:
 ))
 # leq_E words of one length with different supports
 @example((leq_E, [_w(0, 0), _w(0, 1)], [_w(1, 1), _w(1, 0)], [_w(1, 1), _w(0, 0, 1)], Word(XY)))
+@example((
+    leq_E,
+    [_w(0, 1), _w(0, 0), _w(1, 1)],
+    [_w(1, 0), _w(0, 0)],
+    [_w(1, 0), _w(1, 1), _w(0, 1, 1)],
+    Word(XY),
+))
+# a leq_E query whose letters embed in a generator's, with another support
+@example((
+    leq_E,
+    [parse_word(t, ABC) for t in ("ab", "c")],
+    [parse_word("abc", ABC)],
+    [parse_word(t, ABC) for t in ("abc", "abcab", "ab", "cab")],
+    Word(XY),
+))
+# labeled words with the same letters and different supports
+@example((
+    labeled_leq,
+    [_lw({0, 1}, 0, 2), _lw({0}, 0, 2)],
+    [_lw({1}, 0, 2), _lw({0, 1}, 0, 2, 2)],
+    [_lw({0}, 0, 2), _lw({1}, 0, 2, 2), _lw({0, 1}, 0, 2), _lw((), 0, 2)],
+    phi(Word(XY)),
+))
 def test_kernels_agree_with_the_oracles(case):
     order, gens, others, queries, _ = case
     oracle = ORACLES[order]
@@ -525,6 +554,12 @@ ABC3 = [Word(Alphabet.from_letters("abc"), t) for t in product(range(3), repeat=
 
 def _element(order, w: Word):
     return phi(w) if order is labeled_leq else w
+
+
+def test_sizes_are_read_without_a_python_call():
+    # member and includes bisect the keys by size on every query
+    for order, (_, _, _, size) in upset._KERNELS.items():
+        assert size is None or not isinstance(size, types.FunctionType), order
 
 
 def _counted_raw(monkeypatch, order) -> list:
