@@ -17,7 +17,9 @@ A round does not even collect a pre-image c that lies above the
 generator g it was made from: g is in the basis when the round starts
 (no generator is evicted in the round that inserted it), a generator
 that evicts g lies below g, so some generator stays below c and _add
-would refuse it. _pre(g, t) >= g holds exactly when g[i] <= consume[i]
+would refuse it. c can fall below g only where the transition moves,
+so _pre decides this in its own loop over those places and returns
+None, building no tuple. c >= g holds exactly when g[i] <= consume[i]
 at every place i where t gains tokens; on a chain net, where t_i turns
 one token on place i into two on place i+1, that is t_i acting on any g
 with g[i+1] = 0. The round collects its candidates as a set, so each is
@@ -42,13 +44,17 @@ coordinates but the last are comparable and the basis is an antichain.
 b <= c holds iff b[i] <= c[i] at every level and b[-1] <= c[-1], so the
 search for a generator below c enters only the children keyed <= c[i],
 and eviction enters only those keyed >= c[i]; a whole subtrie is
-skipped on one comparison of its key. Eviction deletes the nodes it
-empties and removes their generators from the set, which stays the one
-record of the basis: its size, its members and the result. The walks
-recurse once per place, so a net may have at most _MAX_PLACES places.
-Past that, the limit is the basis itself: it can grow doubly
-exponentially in the net (Rackoff 1978), and every candidate still
-meets the generators it cannot rule out by a key.
+skipped on one comparison of its key. The search enters the children
+of a node newest first. On the chain nets every refused candidate
+measured was refused by a generator inserted earlier in its own round,
+and the keys such a generator adds are the newest of their nodes; the
+order changes how soon a search ends, never its answer. Eviction
+deletes the nodes it empties and removes their generators from the
+set, which stays the one record of the basis: its size, its members
+and the result. The walks recurse once per place, so a net may have at
+most _MAX_PLACES places. Past that, the limit is the basis itself: it
+can grow doubly exponentially in the net (Rackoff 1978), and every
+candidate still meets the generators it cannot rule out by a key.
 """
 
 from __future__ import annotations
@@ -159,29 +165,36 @@ def _moves(t: Transition) -> list[tuple[int, int, int]]:
     return [(i, p - k, k) for i, (k, p) in pairs if k or p]
 
 
-def _pre(g: NatVec, moves: list[tuple[int, int, int]]) -> NatVec:
-    """Least marking from which firing the transition of moves lands above g.
+def _pre(g: NatVec, moves: list[tuple[int, int, int]]) -> NatVec | None:
+    """Least marking from which firing the transition of moves lands above g,
+    or None when that marking lies above g.
 
     Firing from v requires v >= consume and yields v + delta, so the least
     such v is max(g - delta, consume), componentwise; consume >= 0 keeps
     it natural. That is g itself at every place the transition neither
-    reads nor changes, so only the places of moves are computed. The
+    reads nor changes, so only the places of moves are computed, and the
+    marking lies above g unless it falls below g at one of them. The
     caller has checked the dimensions.
     """
     c = list(g)
+    above = True
     for i, d, k in moves:
         x = g[i] - d
-        c[i] = x if x > k else k
-    return tuple(c)
+        if x < k:
+            x = k
+        if x < g[i]:
+            above = False
+        c[i] = x
+    return None if above else tuple(c)
 
 
 def pre_step(x: UpSet, t: Transition) -> UpSet:
-    """Minimal markings from which firing t lands in x."""
+    """Minimal markings from which firing t lands in x: max(g - delta, consume)."""
     # a vector upset has one dimension, so the first generator speaks for all
     if x.gens:
         _require_same_dim(x.gens[0], t.consume)
-    moves = _moves(t)
-    return dickson_upset(_pre(g, moves) for g in x.gens)
+    delta = _delta(t)
+    return dickson_upset(tuple(map(max, map(sub, g, delta), t.consume)) for g in x.gens)
 
 
 def _add(root: dict, c: NatVec, leaf: int, basis: set) -> bool:
@@ -213,15 +226,16 @@ def _has_below(node: dict, c: NatVec, i: int, leaf: int) -> bool:
 
     Only keys <= c[i] can start such a path, so no other child is entered;
     at the leaf level the key and the generator's last coordinate decide.
+    Children are entered newest first, where a refuser is most often found.
     """
     ci = c[i]
     if i == leaf:
         z = c[-1]
-        for k, g in node.items():
+        for k, g in reversed(node.items()):
             if k <= ci and g[-1] <= z:
                 return True
         return False
-    for k, child in node.items():
+    for k, child in reversed(node.items()):
         if k <= ci and _has_below(child, c, i + 1, leaf):
             return True
     return False
@@ -297,13 +311,8 @@ def backward_cover(
                 f"no fixpoint within {max_iterations} rounds; "
                 f"the basis has {len(basis)} generators"
             )
-        # g is still in the basis, so g <= c means _add would refuse c
-        candidates = {
-            c
-            for g in frontier
-            for moves in steps
-            if not all(map(le, g, c := _pre(g, moves)))
-        }
+        # g is still in the basis, so _pre skips a c above it: _add would refuse c
+        candidates = {c for g in frontier for moves in steps if (c := _pre(g, moves))}
         # b <= c, b != c sorts b first: no candidate evicts one inserted before it
         frontier = [c for c in sorted(candidates - basis) if _add(root, c, leaf, basis)]
         if len(basis) > max_basis:

@@ -223,9 +223,12 @@ class UpSet(_Value):
 
 
 def _antichain_upset(gens: Iterable[NatVec]) -> UpSet:
-    """UpSet of vectors that are already an antichain under vec_leq: only sorted."""
+    """UpSet of vectors that are already an antichain under vec_leq: only sorted.
+
+    Vectors of one dimension sort by themselves as by _key, (len, g).
+    """
     x = UpSet.__new__(UpSet)
-    gens = tuple(sorted(gens, key=_key))
+    gens = tuple(sorted(gens))
     x._init(vec_leq, gens)
     UpSet._keys.__set__(x, gens)  # a vector is its own key
     return x

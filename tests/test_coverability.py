@@ -326,7 +326,8 @@ SELF_COVERING = {
 def test_backward_cover_matches_round_by_round_on_self_covering_pre_images(q):
     steps = [coverability._moves(t) for t in q.net.transitions]
     gens = backward_cover(q).basis.gens
-    assert any(leq(g, coverability._pre(g, s)) for g in gens for s in steps)
+    # _pre gives None exactly when the pre-image lies above g
+    assert any(coverability._pre(g, s) is None for g in gens for s in steps)
     _assert_matches_round_by_round(q)
 
 
@@ -344,7 +345,8 @@ def _assert_no_same_round_eviction(q: CoverQuery) -> None:
 
     def recording_pre(g, moves):
         c = pre(g, moves)
-        made_from[c] = g
+        if c is not None:
+            made_from[c] = g
         return c
 
     def recording_add(root, c, last, basis):
@@ -397,7 +399,8 @@ def _assert_no_candidate_only_above_its_sources(q: CoverQuery) -> None:
             sources.clear()
             adding = False
         c = pre(g, moves)
-        sources.setdefault(c, []).append(g)
+        if c is not None:
+            sources.setdefault(c, []).append(g)
         return c
 
     def recording_add(root, c, last, basis):
@@ -459,6 +462,49 @@ def test_chain_saturation_work_is_pinned(n, work):
     assert _saturation_work(q) == work
 
 
+def _search_work(q: CoverQuery) -> tuple:
+    """(_pre's Nones, nodes visited by refused searches, by accepted ones).
+
+    A search is one top-level _has_below call, and every call, the
+    recursive ones included, visits one trie node.
+    """
+    nones = visits = 0
+    by_answer = {True: 0, False: 0}  # whether a generator lies below
+    pre, has_below = coverability._pre, coverability._has_below
+
+    def counting_pre(g, moves):
+        nonlocal nones
+        c = pre(g, moves)
+        nones += c is None
+        return c
+
+    def counting_has_below(node, c, i, leaf):
+        nonlocal visits
+        visits += 1
+        if i:
+            return has_below(node, c, i, leaf)
+        start = visits
+        found = has_below(node, c, i, leaf)
+        by_answer[found] += visits - start + 1
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coverability, "_pre", counting_pre)
+        mp.setattr(coverability, "_has_below", counting_has_below)
+        backward_cover(q)
+    return nones, by_answer[True], by_answer[False]
+
+
+@pytest.mark.parametrize(
+    "n, work", [(6, (1_501, 2_060, 7_346)), (7, (16_979, 34_486, 141_538))]
+)
+def test_chain_search_work_is_pinned(n, work):
+    # hardware-independent counts; a refused search meets the generators
+    # of its own round first, because it enters the newest children first
+    q = chain(n, (1,) + (0,) * (n - 1), 2 ** (n - 1) + 1)
+    assert _search_work(q) == work
+
+
 @st.composite
 def transitions_and_markings(draw):
     m = draw(st.integers(1, 5))
@@ -474,9 +520,26 @@ def transitions_and_markings(draw):
 def test_pre_of_moves_is_the_least_marking_that_fires_above_g(case):
     t, g = case
     want = tuple(max(x - (p - k), k) for x, k, p in zip(g, t.consume, t.produce))
-    assert coverability._pre(g, coverability._moves(t)) == want
+    got = coverability._pre(g, coverability._moves(t))
+    if leq(g, want):
+        assert got is None
+    else:
+        assert got == want
     zero = Transition("z", (0,) * len(g), (0,) * len(g))
     assert coverability._moves(zero) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(transitions_and_markings(), st.data())
+def test_pre_step_is_the_minimal_elements_of_the_pre_images(case, data):
+    t, g = case
+    vec = st.tuples(*[st.integers(0, 3)] * len(g))
+    x = dickson_upset([g, *data.draw(st.lists(vec, max_size=4))])
+    images = [
+        tuple(max(a - (p - k), k) for a, k, p in zip(h, t.consume, t.produce))
+        for h in x.gens
+    ]
+    assert pre_step(x, t).gens == tuple(sorted(minimal_elements(images, leq)))
 
 
 def _answer(q: CoverQuery, **caps):
