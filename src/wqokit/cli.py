@@ -115,13 +115,15 @@ def _parse_elem(alpha: Alphabet | None, text: str):
     return words.parse_word(text, alpha)
 
 
-# normalizing n pairwise incomparable vectors of dimension d compares
-# every pair, a comparison walking up to d coordinates: the cap is on
-# n^2 * d. At the cap, 6,000 2-dimensional vectors normalized in 5.6-7.4 s,
-# a union of two blocks of 3,000 that make one antichain in 7.7-9.4 s, and
-# 600 200-dimensional vectors (0,...,0,i,600-i) in 1.2-1.8 s; 1,000 of
-# those (2*10^8) took 3.9 s. On a 2-core VM under Python 3.11, process
-# start included.
+# normalizing n vectors of dimension d inserts each into the coordinate
+# trie of dickson, which compares it only with the kept generators it
+# cannot rule out by a key. The cap on n^2 * d was set when every pair was
+# compared. At the cap, 6,000 pairwise incomparable 2-dimensional vectors
+# (a one-level trie, so each still meets every kept one) normalized in
+# 1.35-1.45 s, a union of two blocks of 3,000 that make one antichain in
+# 2.0-2.1 s, and 600 200-dimensional vectors (0,...,0,i,600-i) in
+# 0.23-0.26 s; 2,000 of those (8*10^8) took 0.5-0.55 s. On a 2-core VM
+# under Python 3.11, process start included.
 _MAX_VECTOR_WORK = 6_000**2 * 2
 
 
@@ -223,8 +225,11 @@ def _cmd_union(ns) -> tuple[int, str]:
     return 0, upset.format_upset_block(x.union(y), show=show)
 
 
-# one join per pair of generators, then a normalization of the joins:
-# two 2-dimensional antichains of 400 generators each take about 10 s
+# one join per pair of generators, then a normalization of the joins
+# through the trie. At the cap, two 4-dimensional blocks of 400 on
+# disjoint coordinates, whose 160,000 joins are all minimal, take
+# 7.7-8.7 s, and two 2-dimensional antichains of 400 generators each
+# 0.4-0.5 s (2-core VM, Python 3.11, process start included)
 _MAX_JOINS = 160_000
 
 

@@ -36,7 +36,12 @@ a query by bisection without a Python call. So normalization compares an
 element only with the generators kept at shorter lengths, and member
 and includes run the raw comparison only on the generators shorter than
 the query and answer one of its own length by key equality. `vec_leq`
-and custom orders have no size and compare against every generator.
+and custom orders have no size. Under `vec_leq`'s own row,
+normalization goes through the coordinate trie of `dickson`, the one
+that backward saturation keeps its basis in: a vector meets only the
+kept generators whose keys it cannot rule out level by level. Member
+and includes under `vec_leq`, and custom orders throughout, compare
+against every generator.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ from itertools import repeat
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Sequence
 
-from .dickson import DimensionMismatch, NatVec, _below, _require_same_dim, _Value
+from .dickson import DimensionMismatch, NatVec, _below, _has_below, _insert
+from .dickson import _require_same_dim, _Value
 from .dickson import format_vec, join
 from .dickson import leq as vec_leq
 from .words import LabeledWord, Word, _embeds, _flagged, _require_same_alphabet
@@ -131,15 +137,28 @@ def _keyed(leq: Callable[[Any, Any], bool], elems: Sequence) -> tuple:
 def _minimal(leq: Callable[[Any, Any], bool], elems: Iterable) -> tuple[tuple, tuple]:
     """The minimal elements of elems in _key order, and their keys.
 
-    Under an order with a size (the word orders) an element is compared
-    only with the keys kept before its length began: a kept element of
-    its own length is another word of that length, never below it.
+    Under vec_leq's own row the kept vectors are indexed by the coordinate
+    trie of dickson, which only searches and inserts: in _key order no
+    element lies below an earlier one, so none is evicted. Under an order
+    with a size (the word orders) an element is compared only with the
+    keys kept before its length began: a kept element of its own length
+    is another word of that length, never below it. Any other order
+    compares an element with every kept key.
     """
     # one pass in _key order: whatever lies strictly below x sorts before
     # it, and whatever lies below a dropped element lies below a kept one
     elems = sorted(dict.fromkeys(elems), key=_key)
     all_keys, raw, size = _keyed(leq, elems)
     kept, keys = [], []
+    # the vectors have one dimension, checked above; two distinct ones
+    # have a coordinate to key on, and one is minimal alone
+    if raw is _below and len(elems) > 1:
+        root, leaf = {}, max(len(elems[0]) - 2, 0)
+        for x in elems:
+            if not _has_below(root, x, leaf):
+                _insert(root, x, leaf)
+                kept.append(x)
+        return tuple(kept), tuple(kept)
     below, length = keys, None
     for x, k in zip(elems, all_keys):
         # _key sorts by length first: snapshot the shorter keys once per length
@@ -164,8 +183,9 @@ class UpSet(_Value):
     lexicographically; `vec_leq`, `leq_e`, `leq_E` and `labeled_leq` are.
     Under the three word orders an element strictly below another is
     strictly shorter, so normalization, member and includes compare only
-    against shorter generators; vectors and custom orders compare against
-    every generator.
+    against shorter generators. Vectors normalize through a coordinate
+    trie; their member and includes, and custom orders throughout,
+    compare against every generator.
     """
 
     __slots__ = ("leq", "gens", "_keys")

@@ -132,6 +132,11 @@ def pre_points(gens, consume, produce, universe) -> frozenset:
     return frozenset(out)
 
 
+def pre_image(g, consume, produce) -> tuple:
+    """The least marking from which one firing lands above g: max(g - delta, consume)."""
+    return tuple(max(x - (p - c), c) for x, c, p in zip(g, consume, produce))
+
+
 def forward_covers(transitions, initial, target, bound) -> bool:
     """Whether plain firing from initial, inside the box below bound, covers target.
 

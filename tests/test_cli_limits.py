@@ -1,11 +1,10 @@
 """Inputs the CLI refuses before doing any work: oversized `embed check`
 ranges, letter indices that would need a huge inferred alphabet, and
 `cover --oracle-bound` values the oracle cannot use or whose box holds
-too many reachable markings, nets with more places than the
-saturation's trie takes, `upset intersect` inputs that need too many
+too many reachable markings, `upset intersect` inputs that need too many
 joins, vector blocks whose generator count squared times their
 dimension is too large, and `seq good-pair` searches that need too many
-comparisons or mix dimensions."""
+comparisons or mix dimensions. Nets of any width are answered."""
 
 import pytest
 
@@ -112,23 +111,17 @@ def wide_net(n: int) -> str:
     )
 
 
-def test_net_over_the_place_limit_fails_before_printing(tmp_path, capsys):
+@pytest.mark.parametrize("n", [500, 1200])
+def test_wide_net_is_answered(tmp_path, capsys, n):
+    # the saturation has no place limit
     net = tmp_path / "wide.net"
-    net.write_text(wide_net(1200))
-    assert run(["cover", str(net)]) == 2
-    assert capsys.readouterr() == (
-        "", "error: the net has 1200 places, over the limit of 500\n"
-    )
-
-
-def test_net_at_the_place_limit_is_answered(tmp_path, capsys):
-    net = tmp_path / "wide.net"
-    net.write_text(wide_net(500))
+    net.write_text(wide_net(n))
     assert run(["cover", str(net)]) == 1
-    out, err = capsys.readouterr()
-    assert err == ""
-    assert out.startswith("coverable: false\niterations: 2\nupset basis {\n")
-    assert out.count("\n  (") == 3
+    zeros = ",".join(["0"] * (n - 2))
+    basis = "".join(f"  ({a},{zeros},{2 - a})\n" for a in range(3))
+    assert capsys.readouterr() == (
+        f"coverable: false\niterations: 2\nupset basis {{\n{basis}}}\n", ""
+    )
 
 
 def antichain(tmp_path, name: str, n: int) -> str:

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqokit import coverability
-from wqokit.coverability import CoverResult
+from wqokit import coverability, dickson
 from wqokit import (
     CoverQuery,
     DimensionMismatch,
@@ -25,7 +24,7 @@ from wqokit import (
     pre_step,
 )
 
-from oracles import box, minimal_elements, pre_points, rand_vec
+from oracles import box, minimal_elements, pre_image, pre_points, rand_vec, vec_le
 
 WORKED = CoverQuery(
     Vas(2, (Transition("t1", (1, 0), (0, 1)),)),
@@ -185,20 +184,14 @@ def test_saturation_limit_messages():
     assert str(err.value) == "no fixpoint within 2 rounds; the basis has 4 generators"
 
 
-def test_backward_cover_refuses_more_places_than_the_trie_takes():
-    # the trie's walks recurse once per place; a net at the limit answers
-    def net(n: int) -> CoverQuery:
-        t = Transition("t", (1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,))
-        return CoverQuery(Vas(n, (t,)), (0,) * n, (0,) * (n - 1) + (2,))
-
-    n = coverability._MAX_PLACES
-    r = backward_cover(net(n))
+@pytest.mark.parametrize("n", [500, 1200])
+def test_backward_cover_answers_wide_nets(n):
+    # the trie's walks keep their own stack, so a net may have any width
+    t = Transition("t", (1,) + (0,) * (n - 1), (0,) * (n - 1) + (1,))
+    r = backward_cover(CoverQuery(Vas(n, (t,)), (0,) * n, (0,) * (n - 1) + (2,)))
     assert (r.coverable, r.iterations) == (False, 2)
     zeros = (0,) * (n - 2)
     assert r.basis.gens == ((0, *zeros, 2), (1, *zeros, 1), (2, *zeros, 0))
-    with pytest.raises(SaturationLimit) as err:
-        backward_cover(net(n + 1))
-    assert str(err.value) == "the net has 501 places, over the limit of 500"
 
 
 def chain_minimal_solutions(n: int, target: int) -> list:
@@ -240,21 +233,25 @@ def test_backward_cover_chain7_basis_is_all_minimal_solutions():
 def round_by_round(
     q: CoverQuery, max_iterations: int | None = None, max_basis: int | None = None
 ):
-    """Reference saturation: renormalize the whole basis every round."""
-    current = dickson_upset([q.target])
+    """Reference saturation: renormalize the whole basis every round.
+
+    It calls no library code: the pre-images come from their definition,
+    the basis from oracles.minimal_elements, membership from a plain scan.
+    Returns (coverable, sorted basis, iterations).
+    """
+    current = {q.target}
     iterations = 0
     while True:
-        if current.member(q.initial):
-            return CoverResult(True, current, iterations)
+        if any(vec_le(g, q.initial) for g in current):
+            return True, tuple(sorted(current)), iterations
         if max_iterations is not None and iterations >= max_iterations:
             raise SaturationLimit("reference cap")
-        nxt = current
-        for t in q.net.transitions:
-            nxt = nxt.union(pre_step(current, t))
-        if max_basis is not None and len(nxt.gens) > max_basis:
+        pre = {pre_image(g, t.consume, t.produce) for g in current for t in q.net.transitions}
+        nxt = minimal_elements(current | pre, vec_le)
+        if max_basis is not None and len(nxt) > max_basis:
             raise SaturationLimit("reference size cap")
         if nxt == current:
-            return CoverResult(False, current, iterations)
+            return False, tuple(sorted(current)), iterations
         current = nxt
         iterations += 1
 
@@ -275,18 +272,24 @@ def _outcome(run, q, **caps):
         return "limit"
 
 
+def _cover(q: CoverQuery, **caps) -> tuple:
+    """backward_cover's answer in round_by_round's form."""
+    r = backward_cover(q, **caps)
+    return r.coverable, r.basis.gens, r.iterations
+
+
 def _assert_matches_round_by_round(q: CoverQuery) -> None:
-    r = backward_cover(q)
-    assert r == round_by_round(q)
-    for cap in range(r.iterations + 2):
-        mine = _outcome(backward_cover, q, max_iterations=cap)
+    coverable, gens, iterations = _cover(q)
+    assert (coverable, gens, iterations) == round_by_round(q)
+    for cap in range(iterations + 2):
+        mine = _outcome(_cover, q, max_iterations=cap)
         assert mine == _outcome(round_by_round, q, max_iterations=cap)
-    for cap in range(len(r.basis.gens) + 2):
-        mine = _outcome(backward_cover, q, max_basis=cap)
+    for cap in range(len(gens) + 2):
+        mine = _outcome(_cover, q, max_basis=cap)
         assert mine == _outcome(round_by_round, q, max_basis=cap)
-    if r.iterations:
+    if iterations:
         with pytest.raises(SaturationLimit):
-            backward_cover(q, max_iterations=r.iterations - 1)
+            backward_cover(q, max_iterations=iterations - 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -341,7 +344,7 @@ def _assert_no_same_round_eviction(q: CoverQuery) -> None:
     round_of: dict = {}  # inserted vector -> the round that inserted it
     made_from: dict = {}  # candidate -> the generator it was last made from
     adding = 0  # the round of the vector being added
-    pre, add, evict = coverability._pre, coverability._add, coverability._evict_above
+    pre, add, evict = coverability._pre, coverability._add, dickson._evict_above
 
     def recording_pre(g, moves):
         c = pre(g, moves)
@@ -357,18 +360,16 @@ def _assert_no_same_round_eviction(q: CoverQuery) -> None:
         round_of[c] = adding
         return True
 
-    def recording_evict(node, c, i, last, basis):
-        if i:  # a recursive call, inside one eviction
-            return evict(node, c, i, last, basis)
+    def recording_evict(root, c, last, basis):
         before = set(basis)
-        evict(node, c, i, last, basis)
+        evict(root, c, last, basis)
         gone = before - basis
         assert all(round_of[g] < adding for g in gone), (adding, gone)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coverability, "_pre", recording_pre)
         mp.setattr(coverability, "_add", recording_add)
-        mp.setattr(coverability, "_evict_above", recording_evict)
+        mp.setattr(dickson, "_evict_above", recording_evict)
         result = backward_cover(q)
     assert max(round_of.values()) == result.iterations
 
@@ -465,12 +466,12 @@ def test_chain_saturation_work_is_pinned(n, work):
 def _search_work(q: CoverQuery) -> tuple:
     """(_pre's Nones, nodes visited by refused searches, by accepted ones).
 
-    A search is one top-level _has_below call, and every call, the
-    recursive ones included, visits one trie node.
+    A search is one _has_below call, and it visits one trie node each
+    time it takes the children of a node, newest first, with reversed.
     """
     nones = visits = 0
     by_answer = {True: 0, False: 0}  # whether a generator lies below
-    pre, has_below = coverability._pre, coverability._has_below
+    pre, has_below = coverability._pre, dickson._has_below
 
     def counting_pre(g, moves):
         nonlocal nones
@@ -478,19 +479,21 @@ def _search_work(q: CoverQuery) -> tuple:
         nones += c is None
         return c
 
-    def counting_has_below(node, c, i, leaf):
+    def counting_reversed(items):
         nonlocal visits
         visits += 1
-        if i:
-            return has_below(node, c, i, leaf)
+        return reversed(items)
+
+    def counting_has_below(root, c, leaf):
         start = visits
-        found = has_below(node, c, i, leaf)
-        by_answer[found] += visits - start + 1
+        found = has_below(root, c, leaf)
+        by_answer[found] += visits - start
         return found
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coverability, "_pre", counting_pre)
-        mp.setattr(coverability, "_has_below", counting_has_below)
+        mp.setattr(dickson, "_has_below", counting_has_below)
+        mp.setattr(dickson, "reversed", counting_reversed, raising=False)
         backward_cover(q)
     return nones, by_answer[True], by_answer[False]
 
@@ -560,41 +563,6 @@ def test_backward_cover_ignores_the_order_of_transitions(q, data):
         assert _answer(p, max_iterations=cap) == _answer(q, max_iterations=cap)
     for cap in range(len(r.basis.gens) + 2):
         assert _answer(p, max_basis=cap) == _answer(q, max_basis=cap)
-
-
-@st.composite
-def vector_runs(draw):
-    m = draw(st.integers(1, 5))
-    return m, draw(st.lists(st.tuples(*[st.integers(0, 4)] * m), max_size=30))
-
-
-def trie_paths(node: dict, depth: int, leaf: int, m: int, prefix=()):
-    """Walk the trie by hand: no node is empty, and the leaf level holds
-    generators of length m whose first leaf + 1 coordinates are their path."""
-    assert node, f"empty node under {prefix}"
-    for k, child in node.items():
-        if depth == leaf:
-            assert len(child) == m and child[: depth + 1] == prefix + (k,)
-            yield child
-        else:
-            yield from trie_paths(child, depth + 1, leaf, m, prefix + (k,))
-
-
-@settings(max_examples=300, deadline=None)
-@given(vector_runs())
-def test_trie_keeps_the_minimal_elements(run):
-    m, vecs = run
-    leaf = max(m - 2, 0)  # the leaf depth backward_cover uses
-    root: dict = {}
-    basis: set = set()
-    for k, c in enumerate(vecs):
-        kept = set(basis)
-        added = coverability._add(root, c, leaf, basis)
-        assert added == (not any(leq(b, c) for b in kept))
-        want = minimal_elements(vecs[: k + 1], leq)
-        paths = list(trie_paths(root, 0, leaf, m))
-        assert len(paths) == len(want) == len(basis)
-        assert set(paths) == basis == want
 
 
 def test_forward_oracle_examples():

@@ -2,7 +2,10 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wqokit import dickson
 from wqokit import (
     DimensionMismatch,
     format_vec,
@@ -13,7 +16,7 @@ from wqokit import (
     parse_vec,
 )
 
-from oracles import box, vec_le
+from oracles import box, minimal_elements, vec_le
 
 
 def test_leq_basics():
@@ -111,3 +114,38 @@ def test_no_long_bad_sequences_in_a_box():
     for _ in range(200):
         seq = [rng.choice(pts) for _ in range(len(pts) + 1)]
         assert not is_bad(seq, leq)
+
+
+@st.composite
+def vector_runs(draw):
+    m = draw(st.integers(1, 6))
+    return m, draw(st.lists(st.tuples(*[st.integers(0, 4)] * m), max_size=30))
+
+
+def trie_paths(node: dict, depth: int, leaf: int, m: int, prefix=()):
+    """Walk the trie by hand: no node is empty, and the leaf level holds
+    generators of length m whose first leaf + 1 coordinates are their path."""
+    assert node, f"empty node under {prefix}"
+    for k, child in node.items():
+        if depth == leaf:
+            assert len(child) == m and child[: depth + 1] == prefix + (k,)
+            yield child
+        else:
+            yield from trie_paths(child, depth + 1, leaf, m, prefix + (k,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_runs())
+def test_trie_keeps_the_minimal_elements(run):
+    m, vecs = run
+    leaf = max(m - 2, 0)  # the leaf depth of an m-dimensional trie
+    root: dict = {}
+    basis: set = set()
+    for k, c in enumerate(vecs):
+        kept = set(basis)
+        added = dickson._add(root, c, leaf, basis)
+        assert added == (not any(leq(b, c) for b in kept))
+        want = minimal_elements(vecs[: k + 1], leq)
+        paths = list(trie_paths(root, 0, leaf, m))
+        assert len(paths) == len(want) == len(basis)
+        assert set(paths) == basis == want

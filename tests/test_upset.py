@@ -376,11 +376,11 @@ def _elements(order, alpha: Alphabet, dim: int):
 
 
 @st.composite
-def kernel_cases(draw, orders=tuple(ORACLES)):
+def kernel_cases(draw, orders=tuple(ORACLES), dims=st.integers(1, 3)):
     """An order, generators, a second generating set, queries, and one
     element of another carrier (another dimension or alphabet)."""
     order = draw(st.sampled_from(orders))
-    dim = draw(st.integers(1, 3))
+    dim = draw(dims)
     elems = _elements(order, AB, dim)
     other_dim = draw(st.integers(0, 4).filter(lambda n: n != dim))
     stranger = draw(_elements(order, XY, other_dim))
@@ -420,7 +420,8 @@ def _lw(sup, *letters: int) -> LabeledWord:
 
 
 @settings(max_examples=400, deadline=None)
-@given(kernel_cases())
+# vectors of dimension 0 as well as 1-6, whose tries have up to five levels
+@given(kernel_cases(dims=st.integers(0, 6)))
 # the empty word as a generator
 @example((leq_e, [_w(), _w(0, 1)], [_w(1)], [_w(), _w(1, 0)], Word(XY)))
 # a query shorter than every generator
