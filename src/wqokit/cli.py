@@ -117,13 +117,15 @@ def _parse_elem(alpha: Alphabet | None, text: str):
 
 # normalizing n vectors of dimension d inserts each into the coordinate
 # trie of dickson, which compares it only with the kept generators it
-# cannot rule out by a key. The cap on n^2 * d was set when every pair was
-# compared. At the cap, 6,000 pairwise incomparable 2-dimensional vectors
-# (a one-level trie, so each still meets every kept one) normalized in
+# cannot rule out by a key. n^2 * d still models the trie's worst case:
+# the spread vectors (i,0,...,0,n-i) of dimension 200, 600 at the cap,
+# took 8.3-9.2 s (500 took 6.4-8.2 s and 1,000 24.6-26.3 s in-process),
+# so the cap must not be relaxed. Other shapes at the cap cost less:
+# 6,000 pairwise incomparable 2-dimensional vectors normalized in
 # 1.35-1.45 s, a union of two blocks of 3,000 that make one antichain in
-# 2.0-2.1 s, and 600 200-dimensional vectors (0,...,0,i,600-i) in
-# 0.23-0.26 s; 2,000 of those (8*10^8) took 0.5-0.55 s. On a 2-core VM
-# under Python 3.11, process start included.
+# 2.0-2.1 s, and 600 vectors (0,...,0,i,600-i) of dimension 200 in
+# 0.23-0.26 s. On a 2-core VM under Python 3.11, through the CLI with
+# process start included unless marked in-process.
 _MAX_VECTOR_WORK = 6_000**2 * 2
 
 
@@ -173,9 +175,13 @@ def _cmd_order(ns) -> tuple[int, str]:
     return _bool(leq(_parse_elem(alpha, ns.left), _parse_elem(alpha, ns.right)))
 
 
-# a bad sequence of n elements takes n(n-1)/2 comparisons: 3,000 words
-# of 9 letters (4.5 M) took 6.7 s, 5,000 2-dimensional vectors (12.5 M)
-# 7.5 s, on a 2-core VM under Python 3.11
+# a bad sequence of n elements takes n(n-1)/2 comparisons: 5,000
+# 2-dimensional vectors (12.5 M) took 7.5 s. Under the length rule words
+# of one length cost one key equality each (3,000 distinct 9-letter
+# words, 4.5 M pairs, took 1.0 s), but the cap counts pairs, not
+# letters: the worst measured shape is words of increasing length, and
+# 1,199 words a^(1200-k) b^(2k) (718,201 pairs) took 27 s. On a 2-core
+# VM under Python 3.11, process start included.
 _MAX_COMPARISONS = 5_000_000
 
 
@@ -187,7 +193,7 @@ def _cmd_seq(ns) -> tuple[int, str]:
     alpha, show = _carrier(texts, ns.alphabet)
     seq = [_parse_elem(alpha, t) for t in texts]
     # checked once here, so the capped search compares unchecked keys
-    keys, raw, _ = upset._keyed(dickson.leq if alpha is None else words.leq_e, seq)
+    keys, key_leq = upset._keyed(dickson.leq if alpha is None else words.leq_e, seq)
     made = count(1)
 
     def capped(j, k) -> bool:
@@ -196,7 +202,7 @@ def _cmd_seq(ns) -> tuple[int, str]:
                 f"searching {len(seq)} elements for a good pair makes more than "
                 f"{_MAX_COMPARISONS} comparisons, the limit"
             )
-        return raw(j, k)
+        return key_leq(j, k)
 
     pair = orders.find_good_pair(keys, capped)
     if pair is None:

@@ -11,6 +11,9 @@ element's carrier against the first element's once per call, then compares
 precomputed keys without further checks; so a sequence that mixes
 dimensions or alphabets raises before any answer, with the error the
 order gives for the first element and the first one of another carrier.
+Under the word orders an element strictly below another is strictly
+shorter, so a pair is compared only when its first element is the
+shorter one, and a pair of one length is decided by key equality.
 A custom order is called itself on every pair, as it is given.
 """
 
@@ -77,10 +80,10 @@ def find_good_pair(seq: Sequence[T], leq: Leq) -> tuple[int, int] | None:
     A sequence without such a pair is called bad. Indices are compared
     lexicographically, so the witness is deterministic.
     """
-    keys, raw, _ = _keyed(leq, seq)
+    keys, key_leq = _keyed(leq, seq)
     for i, k in enumerate(keys):
         for j in range(i + 1, len(keys)):
-            if raw(k, keys[j]):
+            if key_leq(k, keys[j]):
                 return (i, j)
     return None
 
@@ -107,12 +110,12 @@ def homogeneous_subsequence(
     """
     if k < 1:
         raise ValueError("subsequence length k must be at least 1")
-    keys, raw, _ = _keyed(leq, seq)
+    keys, key_leq = _keyed(leq, seq)
     n = len(keys)
     if k > n:
         return None
     # the class of each pair (i, j) with i < j
-    rel = {(i, j): classify(keys[i], keys[j], raw) for i, j in combinations(range(n), 2)}
+    rel = {(i, j): classify(keys[i], keys[j], key_leq) for i, j in combinations(range(n), 2)}
     for shape in SubseqClass:
         indices = _smallest(rel, n, k, _PAIR_FOR[shape])
         if indices is not None:

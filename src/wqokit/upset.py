@@ -35,7 +35,9 @@ or `operator.itemgetter(0)`): member and includes find the size range of
 a query by bisection without a Python call. So normalization compares an
 element only with the generators kept at shorter lengths, and member
 and includes run the raw comparison only on the generators shorter than
-the query and answer one of its own length by key equality. `vec_leq`
+the query and answer one of its own length by key equality. The
+comparison that `_keyed` gives the sequence searches follows the same
+rule: raw on a shorter first key, key equality otherwise. `vec_leq`
 and custom orders have no size. Under `vec_leq`'s own row,
 normalization goes through the coordinate trie of `dickson`, the one
 that backward saturation keeps its basis in: a vector meets only the
@@ -121,17 +123,20 @@ def _kernel(leq: Callable[[Any, Any], bool]) -> tuple:
 
 
 def _keyed(leq: Callable[[Any, Any], bool], elems: Sequence) -> tuple:
-    """The keys of elems under leq's kernel row (a list), its raw comparison and size.
+    """The keys of elems under leq's kernel row (a list) and a comparison of two keys.
 
     Each element is checked against the first one only: that is the first
     pair a checked comparison of elems would meet, so the same element
     raises the same error. An order without a row checks nothing and
-    keys each element as itself.
+    keys each element as itself. Under a row with a size the comparison
+    is the length rule: raw on a shorter first key, key equality
+    otherwise; under any other row it is raw.
     """
     check, keyof, raw, size = _kernel(leq)
     for x in elems[1:]:
         check(elems[0], x)
-    return list(map(keyof, elems)), raw, size
+    le = raw if size is None else lambda j, k: raw(j, k) if size(j) < size(k) else j == k
+    return list(map(keyof, elems)), le
 
 
 def _minimal(leq: Callable[[Any, Any], bool], elems: Iterable) -> tuple[tuple, tuple]:
@@ -148,7 +153,8 @@ def _minimal(leq: Callable[[Any, Any], bool], elems: Iterable) -> tuple[tuple, t
     # one pass in _key order: whatever lies strictly below x sorts before
     # it, and whatever lies below a dropped element lies below a kept one
     elems = sorted(dict.fromkeys(elems), key=_key)
-    all_keys, raw, size = _keyed(leq, elems)
+    all_keys, _ = _keyed(leq, elems)
+    _, _, raw, size = _kernel(leq)
     kept, keys = [], []
     # the vectors have one dimension, checked above; two distinct ones
     # have a coordinate to key on, and one is minimal alone

@@ -21,7 +21,8 @@ from wqokit import (
 )
 from wqokit import upset, words
 
-from oracles import first_good_pair, pair_tag, smallest_homogeneous
+from oracles import embeds_recursive, first_good_pair, flag_occurrences, pair_tag
+from oracles import rand_letters, smallest_homogeneous
 
 INT_LE = lambda x, y: x <= y  # noqa: E731
 AB = Alphabet(("a", "b"))
@@ -251,6 +252,53 @@ def test_a_search_checks_the_carrier_once_then_compares_keys(monkeypatch):
     assert got[0] == want[0] == (0, 5)
     assert got[1] is False
     assert (got[2].indices, got[2].shape) == (want[1][0], TAG_TO_SHAPE[want[1][1]])
+
+
+# ------------------------------------------------ the length rule in searches
+
+_MEMO: dict = {}
+# each word order from first principles, on the elements the searches take
+_BY_DEFINITION = {
+    leq_e: (
+        lambda u, v: embeds_recursive(u.letters, v.letters, _MEMO),
+        lambda rng: Word(AB, rand_letters(rng, 2, 4)),
+    ),
+    leq_E: (
+        lambda u, v: set(u.letters) == set(v.letters)
+        and embeds_recursive(flag_occurrences(u.letters), flag_occurrences(v.letters), _MEMO),
+        lambda rng: Word(AB, rand_letters(rng, 2, 4)),
+    ),
+    labeled_leq: (
+        lambda p, q: p.support == q.support
+        and embeds_recursive(p.word.letters, q.word.letters, _MEMO),
+        lambda rng: phi(Word(AB, rand_letters(rng, 2, 4))),
+    ),
+}
+
+
+@pytest.mark.parametrize("order", _BY_DEFINITION, ids=lambda o: o.__name__)
+def test_a_search_compares_only_a_shorter_first_element(order, monkeypatch):
+    # an element strictly below another is strictly shorter, so a pair of
+    # one length is decided by key equality and a longer first element is
+    # never compared
+    check, keyof, raw, size = upset._KERNELS[order]
+    calls = []
+
+    def counted(j, k):
+        calls.append((size(j), size(k)))
+        return raw(j, k)
+
+    monkeypatch.setitem(upset._KERNELS, order, (check, keyof, counted, size))
+    by_definition, word = _BY_DEFINITION[order]
+    rng = random.Random(17)
+    for _ in range(400):
+        seq = [word(rng) for _ in range(rng.randint(0, 8))]
+        k = rng.randint(1, 4)
+        assert find_good_pair(seq, order) == first_good_pair(seq, by_definition)
+        want = smallest_homogeneous(seq, k, by_definition)
+        got = homogeneous_subsequence(seq, k, order)
+        assert got == (want and (want[0], TAG_TO_SHAPE[want[1]]))
+    assert calls and all(j < k for j, k in calls)
 
 
 class _UnhashableLe:
