@@ -16,16 +16,16 @@ previous round added: those of older generators are already in the set.
 A round does not even collect a pre-image c that lies above the
 generator g it was made from: g is in the basis when the round starts
 (no generator is evicted in the round that inserted it), a generator
-that evicts g lies below g, so some generator stays below c and _add
-would refuse it. c can fall below g only where the transition moves,
-so _pre decides this in its own loop over those places and returns
-None, building no tuple. c >= g holds exactly when g[i] <= consume[i]
+that evicts g lies below g, so some generator stays below c and
+_has_below would refuse it. c >= g holds exactly when g[i] <= consume[i]
 at every place i where t gains tokens; on a chain net, where t_i turns
 one token on place i into two on place i+1, that is t_i acting on any g
-with g[i+1] = 0. The round collects its candidates as a set, so each is
-met once, drops those already in the basis, and inserts the rest into
-the antichain in lexicographic order. A candidate is dropped when some
-generator lies below it; otherwise it evicts the generators above it.
+with g[i+1] = 0. _moves lists those places first, so _pre decides this
+before it copies g and returns None, building no list and no tuple.
+The round collects its candidates as a set, so each is met once, drops
+those already in the basis, and inserts the rest into the antichain in
+lexicographic order. A candidate is dropped when some generator lies
+below it; otherwise it evicts the generators above it and goes in.
 All generators have one dimension, so b <= c with b != c puts b first
 in that order: no candidate is evicted by a later one of the same
 round, and every insertion is a generator the round keeps. Every round
@@ -35,7 +35,7 @@ is computed only on the places the transition reads or changes; it
 copies every other coordinate from its generator.
 
 The antichain is a set of generators, indexed by the coordinate trie of
-dickson (_add, _has_below, _evict_above), the one every vector upset
+dickson (_has_below, _evict_above, _insert), the one every vector upset
 normalizes through. The search enters the children of a node newest
 first. On the chain nets every refused candidate measured was refused
 by a generator inserted earlier in its own round, and the keys such a
@@ -52,12 +52,12 @@ cannot rule out by a key.
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import islice, repeat
 from operator import add, le, sub
 from typing import NamedTuple
 
-from .dickson import DimensionMismatch, IntVec, NatVec, _add, _require_same_dim, _Value
-from .dickson import format_vec, is_decimal, parse_vec
+from .dickson import DimensionMismatch, IntVec, NatVec, _require_same_dim, _Value
+from .dickson import _evict_above, _has_below, _insert, format_vec, is_decimal, parse_vec
 from .dickson import leq as vec_leq
 from .upset import UpSet, _antichain_upset, dickson_upset
 
@@ -146,9 +146,13 @@ def _delta(t: Transition) -> IntVec:
 
 
 def _moves(t: Transition) -> list[tuple[int, int, int]]:
-    """(place, produce - consume, consume) at each place that t reads or changes."""
+    """(place, produce - consume, consume) at each place that t reads or changes.
+
+    The places where t gains tokens come first: _pre reads them alone to
+    decide whether the pre-image lies above its generator.
+    """
     pairs = enumerate(zip(t.consume, t.produce))
-    return [(i, p - k, k) for i, (k, p) in pairs if k or p]
+    return sorted(((i, p - k, k) for i, (k, p) in pairs if k or p), key=lambda m: m[1] <= 0)
 
 
 def _pre(g: NatVec, moves: list[tuple[int, int, int]]) -> NatVec | None:
@@ -158,20 +162,26 @@ def _pre(g: NatVec, moves: list[tuple[int, int, int]]) -> NatVec | None:
     Firing from v requires v >= consume and yields v + delta, so the least
     such v is max(g - delta, consume), componentwise; consume >= 0 keeps
     it natural. That is g itself at every place the transition neither
-    reads nor changes, so only the places of moves are computed, and the
-    marking lies above g unless it falls below g at one of them. The
-    caller has checked the dimensions.
+    reads nor changes, so only the places of moves are computed. It falls
+    below g at place i exactly when the transition gains tokens there and
+    g[i] > consume[i]; moves lists those places first, so the marking is
+    known to lie above g before g is copied. The caller has checked the
+    dimensions.
     """
+    for i, d, k in moves:
+        if d <= 0:
+            return None
+        if g[i] > k:
+            break
+    else:
+        return None
     c = list(g)
-    above = True
     for i, d, k in moves:
         x = g[i] - d
         if x < k:
             x = k
-        if x < g[i]:
-            above = False
         c[i] = x
-    return None if above else tuple(c)
+    return tuple(c)
 
 
 def pre_step(x: UpSet, t: Transition) -> UpSet:
@@ -206,25 +216,33 @@ def backward_cover(
         raise ValueError("max_iterations must be at least 0")
     steps = [_moves(t) for t in q.net.transitions]
     # the basis, and the trie that indexes it
-    basis, root = set(), {}
+    basis, root = {q.target}, {}
     leaf = max(q.net.places - 2, 0)
-    _add(root, q.target, leaf, basis)
+    _insert(root, q.target, leaf)
     frontier = [q.target]
     iterations = 0
     while True:
         # older generators were already found not to lie below initial;
         # one checked comparison per new generator, not per candidate
-        if any(vec_leq(g, q.initial) for g in frontier):
+        if any(map(vec_leq, frontier, repeat(q.initial))):
             return CoverResult(True, _antichain_upset(basis), iterations)
         if max_iterations is not None and iterations >= max_iterations:
             raise SaturationLimit(
                 f"no fixpoint within {max_iterations} rounds; "
                 f"the basis has {len(basis)} generators"
             )
-        # g is still in the basis, so _pre skips a c above it: _add would refuse c
+        # g is still in the basis, so _pre skips a c above it: _has_below would refuse c
         candidates = {c for g in frontier for moves in steps if (c := _pre(g, moves))}
-        # b <= c, b != c sorts b first: no candidate evicts one inserted before it
-        frontier = [c for c in sorted(candidates - basis) if _add(root, c, leaf, basis)]
+        # b <= c, b != c sorts b first: no candidate evicts one inserted before it.
+        # A generator under c's key is comparable to c, so evicting first keeps
+        # _insert from overwriting one
+        frontier = []
+        for c in sorted(candidates - basis):
+            if not _has_below(root, c, leaf):
+                _evict_above(root, c, leaf, basis)
+                _insert(root, c, leaf)
+                basis.add(c)
+                frontier.append(c)
         if len(basis) > max_basis:
             raise SaturationLimit(
                 f"basis reached {len(basis)} generators in round {iterations + 1}, "

@@ -2,7 +2,7 @@
 
 Vectors are plain tuples of non-negative ints; the tuple length is the
 dimension. Operations on two vectors require equal dimensions. An
-antichain of vectors is kept in a coordinate trie (_add, _has_below,
+antichain of vectors is kept in a coordinate trie (_insert, _has_below,
 _evict_above): vector upsets normalize through it, and backward
 saturation keeps its basis in it.
 """
@@ -140,7 +140,10 @@ def _has_below(root: dict, c: NatVec, leaf: int) -> bool:
     """
     x, z = c[leaf], c[-1]
     if not leaf:
-        return any(k <= x and g[-1] <= z for k, g in reversed(root.items()))
+        for k, g in reversed(root.items()):
+            if k <= x and g[-1] <= z:
+                return True
+        return False
     y, up = c[leaf - 1], leaf - 2
     # with two levels the walk starts one level up, at a stand-in parent
     # that holds the root under y = c[0], a key every test passes
@@ -204,21 +207,6 @@ def _evict_above(root: dict, c: NatVec, leaf: int, basis: set) -> None:
             if len(node) > 1:
                 cut, at = node, i + 1
         del cut[g[at]]
-
-
-def _add(root: dict, c: NatVec, leaf: int, basis: set) -> bool:
-    """Add c to basis and its trie unless a generator lies below it.
-
-    The generators above c are evicted first, so the entry for c is never
-    overwritten: a generator already under its key is either below c,
-    which refuses c, or above it. Returns whether c was added.
-    """
-    if _has_below(root, c, leaf):
-        return False
-    _evict_above(root, c, leaf, basis)
-    _insert(root, c, leaf)
-    basis.add(c)
-    return True
 
 
 def join(a: NatVec, b: NatVec) -> NatVec:

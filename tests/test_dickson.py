@@ -143,7 +143,12 @@ def test_trie_keeps_the_minimal_elements(run):
     basis: set = set()
     for k, c in enumerate(vecs):
         kept = set(basis)
-        added = dickson._add(root, c, leaf, basis)
+        # one insertion as a saturation round makes it
+        added = not dickson._has_below(root, c, leaf)
+        if added:
+            dickson._evict_above(root, c, leaf, basis)
+            dickson._insert(root, c, leaf)
+            basis.add(c)
         assert added == (not any(leq(b, c) for b in kept))
         want = minimal_elements(vecs[: k + 1], leq)
         paths = list(trie_paths(root, 0, leaf, m))
