@@ -12,25 +12,29 @@ its whole answer or nothing, and an input error exits 2 with empty stdout.
 The one exception is a `cover --oracle-bound` disagreement: it exits 2
 with the answer on stdout and the error on stderr.
 
-run() parses argv with the parser of the verb that its leading words
-name (`cover`, `upset member`, ...), and the top-level parser reports
-what that parser leaves over, as its own parse_args would. So the
-namespace, exit code and messages are the top-level parser's, without
-its pass over argv, which only looks up the verb. The top-level parser
-stays for argv that names no verb (none, `-h`, `upset -h`, an unknown
-verb, a leading `--`): only it can answer those.
+run() parses argv with a parser built for the one verb that its leading
+words name (`cover`, `upset member`, ...), from that verb's _COMMANDS
+row, and the full parser reports what that parser leaves over, as its
+own parse_args would. So the namespace, exit code and messages are the
+full parser's, and a call that names a verb builds no other verb's
+parser. The full parser, with every verb's subparser, is built only for
+argv that names no verb (none, `-h`, `upset -h`, an unknown verb, a
+leading `--`) and for the "unrecognized arguments" error, which prints
+its usage: only it can answer those.
 
-_read reads an input file whole with open()'s defaults: the locale's
-encoding and universal newlines, so a file with CRLF line ends reads as
-its LF copy, and a path that cannot be read fails with the OSError's own
-text. A net file is split into words by str.split() on each line once
-its comment is cut; the column of a word is computed only for an error
-message (coverability.parse_net).
+_read gives an input file's text as open(path).read() does, the locale's
+encoding and universal newlines, in one unbuffered read and one decode:
+a file with CRLF or CR line ends reads as its LF copy, and a path that
+cannot be read fails with the OSError's own text. Net and sequence files
+break lines only at those line ends. A net file is split into words by
+str.split() on each line once its comment is cut; the column of a word
+is computed only for an error message (coverability.parse_net).
 """
 
 from __future__ import annotations
 
 import argparse
+import locale
 import sys
 from collections.abc import Callable
 from functools import cache, partial
@@ -104,9 +108,16 @@ def _carrier(texts, alphabet_opt, letters=()) -> tuple[Alphabet | None, Callable
 
 
 def _read(path: str) -> str:
-    """The text of the file at path, in the locale's encoding, newlines universal."""
-    with open(path) as f:
-        return f.read()
+    """The text of the file at path, as open(path).read() gives it, in one read.
+
+    One unbuffered readall, one decode in the locale's encoding, then
+    "\r\n" and "\r" become "\n": open()'s universal newlines, without
+    its buffer and incremental decoder.
+    """
+    with open(path, "rb", buffering=0) as f:
+        data = f.readall()
+    text = data.decode(locale.getpreferredencoding(False))
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _parse_elem(alpha: Alphabet | None, text: str):
@@ -186,7 +197,8 @@ _MAX_COMPARISONS = 5_000_000
 
 
 def _cmd_seq(ns) -> tuple[int, str]:
-    texts = [ln.split("#", 1)[0].strip() for ln in _read(ns.file).splitlines()]
+    # _read leaves "\n" the one line end
+    texts = [ln.split("#", 1)[0].strip() for ln in _read(ns.file).split("\n")]
     texts = [t for t in texts if t]
     if not texts:
         raise CliError(f"no elements in {ns.file}")
@@ -374,34 +386,52 @@ _COMMANDS = [
 ]
 
 
-@cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The one parser of the process, and its verb parsers by command path.
+# (handler, arguments) of each verb in _COMMANDS, by command path
+_VERBS = {tuple(c.split()): (h, args) for c, _, h, args in _COMMANDS if h}
 
-    parse_args keeps no state between calls. run() hands argv to the verb
-    parser its leading words name (("cover",), ("upset", "member"), ...),
-    which answers as the full parser would without the full parser's pass
-    over argv. The full parser stays for argv that names no verb: only it
-    prints the top-level and group help and refuses an unknown verb.
+
+def _add_arguments(p: argparse.ArgumentParser, handler, arguments) -> None:
+    """Give p a verb's arguments and handler, as its _COMMANDS row lists them."""
+    for arg in arguments:
+        name, options = (arg, {}) if isinstance(arg, str) else arg
+        p.add_argument(name, **options)
+    p.set_defaults(handler=handler)
+
+
+@cache
+def _verb_parser(path: tuple[str, ...]) -> argparse.ArgumentParser:
+    """The parser of the verb at path (("cover",), ("upset", "member"), ...).
+
+    It is built as the full parser builds that verb's subparser, with
+    the same prog, so it prints the same usage, help and errors.
+    """
+    p = argparse.ArgumentParser(prog="wqokit " + " ".join(path))
+    _add_arguments(p, *_VERBS[path])
+    return p
+
+
+@cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser: the top-level parser and every verb's subparser.
+
+    run() needs it only for argv that names no verb, to print the
+    top-level and group help and to refuse an unknown verb, and for the
+    "unrecognized arguments" error, which prints the top-level usage.
+    parse_args keeps no state between calls.
     """
     parser = argparse.ArgumentParser(
         prog="wqokit",
         description="Embedding orders, upward closed sets, and coverability.",
     )
     groups = {"": parser.add_subparsers(dest="verb", required=True)}
-    verbs = {}
     for command, help_text, handler, arguments in _COMMANDS:
         group, _, verb = command.rpartition(" ")
         p = groups[group].add_parser(verb, help=help_text)
         if handler is None:
             groups[verb] = p.add_subparsers(dest="op", required=True)
-            continue
-        for arg in arguments:
-            name, options = (arg, {}) if isinstance(arg, str) else arg
-            p.add_argument(name, **options)
-        p.set_defaults(handler=handler)
-        verbs[tuple(command.split())] = p
-    return parser, verbs
+        else:
+            _add_arguments(p, handler, arguments)
+    return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
@@ -411,15 +441,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     it, as parse_args does after the verb parser has run; the namespace
     gets the verb and op words that the full parser's subparsers set.
     """
-    parser, verbs = _build_parser()
     for path in (tuple(argv[:2]), tuple(argv[:1])):
-        if path in verbs:
-            ns, extra = verbs[path].parse_known_args(argv[len(path):])
+        if path in _VERBS:
+            ns, extra = _verb_parser(path).parse_known_args(argv[len(path):])
             if extra:
-                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+                _build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
             vars(ns).update(zip(("verb", "op"), path))
             return ns
-    return parser.parse_args(argv)
+    return _build_parser().parse_args(argv)
 
 
 def run(argv=None) -> int:

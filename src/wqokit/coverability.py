@@ -324,15 +324,18 @@ def parse_net(text: str) -> CoverQuery:
         initial (2,0)
         target (0,2)
 
-    Each line is one directive of _DIRECTIVES; blank lines and # comments
-    are skipped. places, initial and target appear exactly once, in any
-    order, but places must come before the transitions, which may repeat.
+    Lines end at "\n", "\r\n" or "\r", the line ends open() translates,
+    and nowhere else. Each line is one directive of _DIRECTIVES; blank
+    lines and # comments are skipped. places, initial and target appear
+    exactly once, in any order, but places must come before the
+    transitions, which may repeat.
     An initial or target line read before places is checked against the
     place count when the query is built, raising DimensionMismatch.
 
     A line's words are what str.split() makes of it once its comment is
     cut: runs of characters that are not whitespace in the sense of
-    str.isspace(), so a tab, a no-break space or an ideographic space
+    str.isspace(), so a tab, a no-break space, an ideographic space or a
+    character that str.splitlines() would break at (a form feed, U+2028)
     separates words as a space does. A NetParseError carries the 1-based
     line and the column of the word at fault, where a tab counts as one
     column; the column is computed only when the error is raised.
@@ -357,7 +360,8 @@ def parse_net(text: str) -> CoverQuery:
             )
         return v
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0]
         toks = line.split()
         if not toks:

@@ -1,3 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import wqokit
+from wqokit import cli
 from wqokit.cli import run
 
 NET = """\
@@ -65,6 +74,14 @@ def test_seq_good_pair(tmp_path, capsys):
     ws = write(tmp_path, "words.txt", "ba\nab\naabb\n")
     assert run(["seq", "good-pair", ws]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "good pair: 1 2"
+
+
+def test_seq_lines_end_only_at_line_ends(tmp_path, capsys):
+    # U+2028 inside a comment does not end it, so "ab" after it is no element
+    f = tmp_path / "sep.txt"
+    f.write_bytes("ab\n# older: ba\u2028ab\nb\n".encode())
+    assert run(["seq", "good-pair", str(f)]) == 1
+    assert capsys.readouterr().out == "bad\n"
 
 
 def test_upset_normalize(tmp_path, capsys):
@@ -197,3 +214,77 @@ def test_cover_oracle_bound_note(tmp_path, capsys):
     )
     assert run(["cover", net, "--oracle-bound", "(3)"]) == 0
     assert "inconclusive" in capsys.readouterr().out
+
+
+def test_cover_builds_only_its_own_parser(tmp_path, capsys):
+    net = write(tmp_path, "demo.net", NET)
+    cli._build_parser.cache_clear()
+    assert run(["cover", net]) == 0
+    assert cli._build_parser.cache_info().currsize == 0
+    assert run(["cover", net, "--bogus"]) == 2
+    assert cli._build_parser.cache_info().currsize == 1
+
+
+# the file cases _read must read as open() does: the bytes of a file, a
+# directory (None) or no file at all (absent)
+READ_CASES = {
+    "lf": b"places 1\ninitial (0)\ntarget (1)\n",
+    "crlf": b"places 1\r\ninitial (0)\r\n",
+    "cr": b"places 1\rinitial (0)\r",
+    "mixed": b"a\r\nb\rc\nd\r\r\n\n\re",
+    "empty": b"",
+    "bom": b"\xef\xbb\xbfupset { ab }\n",
+    "latin1": "caf\xe9 \xa0na\xefve\n".encode("latin-1"),
+    "bad_byte": b"ab\n" * 7_000 + b"\xff\n",
+    "dir": None,
+}
+
+
+def _read_cases(tmp_path) -> list[str]:
+    paths = []
+    for name, data in READ_CASES.items():
+        p = tmp_path / name
+        if data is None:
+            p.mkdir()
+        else:
+            p.write_bytes(data)
+        paths.append(str(p))
+    return paths + [str(tmp_path / "missing")]
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _open_read(path):
+    with open(path) as f:
+        return f.read()
+
+
+def _differ(paths) -> list[str]:
+    """The paths that _read reads otherwise than open(path).read()."""
+    return [p for p in paths if _outcome(cli._read, p) != _outcome(_open_read, p)]
+
+
+def test_read_is_open_text(tmp_path):
+    assert _differ(_read_cases(tmp_path)) == []
+    assert cli._read(str(tmp_path / "mixed")) == "a\nb\nc\nd\n\n\n\ne"
+
+
+@pytest.mark.parametrize("env", [{"PYTHONUTF8": "0", "LC_ALL": "C"}, {"PYTHONUTF8": "1"}])
+def test_read_is_open_text_under_other_locales(tmp_path, env):
+    """The same table in a fresh interpreter, in the C locale (ASCII: LC_ALL
+    keeps it from being coerced to UTF-8) and in UTF-8 mode."""
+    src = str(Path(wqokit.__file__).parents[1])
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:3]; import test_cli; "
+        "print(test_cli._differ(sys.argv[3:]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).parent), src, *_read_cases(tmp_path)],
+        env={**os.environ, **env}, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqokit import coverability, transport, upset
-from wqokit.cli import _COMMANDS, CliError, _build_parser, _carrier, _parse, _parse_elem, run
+from wqokit.cli import (
+    _COMMANDS, CliError, _build_parser, _carrier, _parse, _parse_elem, _verb_parser, run,
+)
 from wqokit.words import Alphabet, Word
 
 # one digit past the longest decimal read (dickson._MAX_DIGITS), and the longest
@@ -402,22 +404,23 @@ def _through(parse, argv):
     return code, out.getvalue(), err.getvalue(), ns
 
 
-def test_verb_parsers_answer_as_the_full_parser():
-    full = _build_parser()[0].parse_args
-    corpus = _argv_corpus()
-    differ = [argv for argv in corpus if _through(_parse, argv) != _through(full, argv)]
-    assert not differ, differ[:5]
-
-
 HELP = [[flag] for flag in ("-h", "--help")] + [
     command.split() + [flag] for command, *_ in _COMMANDS for flag in ("-h", "--help")
 ]
 
 
+def test_verb_parsers_answer_as_the_full_parser():
+    full = _build_parser().parse_args
+    corpus = _argv_corpus() + HELP
+    differ = [argv for argv in corpus if _through(_parse, argv) != _through(full, argv)]
+    assert not differ, differ[:5]
+
+
 def test_reused_parser_keeps_no_state(capsys, files):
-    """Every argv above, twice in a shuffled order through the one parser,
-    answers as it does on a parser built just for it."""
+    """Every argv above, twice in a shuffled order through the cached
+    parsers, answers as it does on parsers built just for it."""
     assert _build_parser() is _build_parser()
+    assert _verb_parser(("cover",)) is _verb_parser(("cover",))
     argvs = (
         [argv for argv, *_ in OK + ERR] + DIMENSION + USAGE + MISSING + HELP
     ) * 2
@@ -425,6 +428,7 @@ def test_reused_parser_keeps_no_state(capsys, files):
     reused = [call(capsys, files, argv) for argv in argvs]
     for argv, got in zip(argvs, reused):
         _build_parser.cache_clear()
+        _verb_parser.cache_clear()
         assert call(capsys, files, argv) == got, argv
 
 

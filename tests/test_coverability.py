@@ -692,9 +692,12 @@ def test_parse_net_accepts_every_well_formed_text(case):
     assert parse_net(text) == q
 
 
-# every character that is whitespace but not a line break
+# every character that is whitespace but not a line end; str.splitlines()
+# also breaks lines at those of _SPLITLINES_ONLY, parse_net does not
+_SPLITLINES_ONLY = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _BLANKS = (
     "\t\x1f \xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B))) + "\u202f\u205f\u3000"
+    + _SPLITLINES_ONLY
 )
 
 
@@ -824,6 +827,26 @@ def test_parse_net_checks_markings_before_places_when_building(text, message):
         parse_net(text)
     assert type(err.value) is DimensionMismatch
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("blank", _SPLITLINES_ONLY)
+def test_parse_net_ends_lines_only_at_line_ends(blank):
+    # a blank ending line 2 adds no line, one before "bad" is a column
+    text = f"places 1\ninitial (0){blank}\ntarget (1)\n\n{blank}bad\n"
+    with pytest.raises(NetParseError) as err:
+        parse_net(text)
+    assert str(err.value) == "line 5, column 2: unknown directive 'bad'"
+    # nor does one end a comment
+    assert parse_net(f"places 1 # two{blank}places 2\ninitial (0)\ntarget (1)") == (
+        CoverQuery(Vas(1), (0,), (1,))
+    )
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_parse_net_takes_crlf_and_cr_line_ends(end):
+    assert parse_net(WORKED_TEXT.replace("\n", end)) == WORKED
+    with pytest.raises(NetParseError, match="^line 3, column 9: "):
+        parse_net(end.join(["places 1", "", "initial (x)", "target (0)"]))
 
 
 def test_parse_net_error_carries_line_and_column():
