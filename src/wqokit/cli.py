@@ -9,8 +9,9 @@ canonical, so piping a printed block back in reproduces the value.
 A `_cmd_*` handler returns (exit code, stdout text) and writes nothing to
 stdout; run() prints the text after the handler returns. So a verb prints
 its whole answer or nothing, and an input error exits 2 with empty stdout.
-The one exception is a `cover --oracle-bound` disagreement: it exits 2
-with the answer on stdout and the error on stderr.
+A stdout closed before the answer is written, as by `| head`, is no input
+error: main() ends the process silently with status 141, as SIGPIPE ends
+`cat`.
 
 run() parses argv with a parser built for the one verb that its leading
 words name (`cover`, `upset member`, ...), from that verb's _COMMANDS
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import locale
+import os
 import sys
 from collections.abc import Callable
 from functools import cache, partial
@@ -336,22 +338,17 @@ def _cmd_cover(ns) -> tuple[int, str]:
         bound = dickson.parse_vec(ns.oracle_bound)
         oracle = coverability.forward_cover_oracle(query, bound)
     result = coverability.backward_cover(query, max_iterations=ns.max_iterations)
+    if oracle and not result.coverable:
+        raise CliError("forward oracle covers the target but the backward "
+                       "analysis says unreachable")
     code, verdict = _bool(result.coverable)
     out = f"coverable: {verdict}\niterations: {result.iterations}\n"
     out += upset.format_upset_block(result.basis, "basis")
-    if oracle is None:
-        return code, out
-    if oracle and not result.coverable:
-        print(
-            "error: forward oracle covers the target but the backward "
-            "analysis says unreachable",
-            file=sys.stderr,
-        )
-        return 2, out + "\noracle: true"
-    if not oracle and result.coverable:
-        return code, out + f"\noracle: false (inconclusive under bound {ns.oracle_bound})"
-    # here the oracle agrees with the verdict
-    return code, out + f"\noracle: {verdict}"
+    if oracle is not None:
+        # the oracle agrees, or it is false where only the saturation covers
+        out += "\noracle: " + (verdict if oracle == result.coverable
+                               else f"false (inconclusive under bound {ns.oracle_bound})")
+    return code, out
 
 
 # ---------------------------------------------------------------- parser
@@ -463,13 +460,28 @@ def run(argv=None) -> int:
         code, out = ns.handler(ns)
         print(out)
         return code
+    except BrokenPipeError:
+        # stdout was closed, not an input: main() ends the process
+        raise
     except (CliError, ValueError, OSError, coverability.SaturationLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
+# the status a shell reports for a process killed by SIGPIPE (13): 128 + 13
+_SIGPIPE_STATUS = 141
+
+
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: end as SIGPIPE would, saying
+        # nothing, with fd 1 on devnull so that exit's own flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _SIGPIPE_STATUS
+    sys.exit(code)
 
 
 if __name__ == "__main__":

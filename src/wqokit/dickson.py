@@ -24,9 +24,11 @@ class _Value:
     hash) cost one tuple operation. Copying and pickling rebuild the value
     through ``__init__``; ``match`` takes the fields positionally. A slot
     whose name starts with ``_`` is no field: it holds a fact that
-    ``__init__`` derives from the fields and sets through the slot's
-    descriptor, and it takes no part in equality, hashing, ``repr``,
-    copying or ``match``.
+    ``__init__`` derives from the fields, and it takes no part in
+    equality, hashing, ``repr``, copying or ``match``. Such slots follow
+    the fields in ``__slots__``, and ``_init`` takes their values after
+    the fields' values, in the same order, and keeps only the fields in
+    the field tuple.
     """
 
     __slots__ = ("_values",)
@@ -35,12 +37,12 @@ class _Value:
         cls.__match_args__ = tuple(n for n in cls.__slots__ if not n.startswith("_"))
         # a slot's own descriptor writes past the refusing __setattr__, and
         # faster than object.__setattr__, which looks the slot up by name
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _init(self, *values) -> None:
         for put, value in zip(self._setters, values):
             put(self, value)
-        _Value._values.__set__(self, values)
+        _Value._values.__set__(self, values[:len(self.__match_args__)])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -164,7 +164,8 @@ def _minimal(leq: Callable[[Any, Any], bool], elems: Iterable) -> tuple[tuple, t
             if not _has_below(root, x, leaf):
                 _insert(root, x, leaf)
                 kept.append(x)
-        return tuple(kept), tuple(kept)
+        kept = tuple(kept)  # a vector is its own key
+        return kept, kept
     below, length = keys, None
     for x, k in zip(elems, all_keys):
         # _key sorts by length first: snapshot the shorter keys once per length
@@ -197,9 +198,7 @@ class UpSet(_Value):
     __slots__ = ("leq", "gens", "_keys")
 
     def __init__(self, leq: Callable[[Any, Any], bool], gens: Iterable = ()):
-        gens, keys = _minimal(leq, gens)
-        self._init(leq, gens)
-        UpSet._keys.__set__(self, keys)
+        self._init(leq, *_minimal(leq, gens))
 
     def member(self, x) -> bool:
         """True iff x lies above some generator."""
@@ -237,9 +236,6 @@ class UpSet(_Value):
         self._check_order(other)
         return UpSet(self.leq, self.gens + other.gens)
 
-    def is_empty(self) -> bool:
-        return not self.gens
-
     def _check_order(self, other: "UpSet") -> None:
         if self.leq is not other.leq:
             raise ValueError("cannot combine upsets over different orders")
@@ -255,8 +251,7 @@ def _antichain_upset(gens: Iterable[NatVec]) -> UpSet:
     """
     x = UpSet.__new__(UpSet)
     gens = tuple(sorted(gens))
-    x._init(vec_leq, gens)
-    UpSet._keys.__set__(x, gens)  # a vector is its own key
+    x._init(vec_leq, gens, gens)  # a vector is its own key
     return x
 
 

@@ -60,9 +60,7 @@ class Alphabet(_Value):
         index = {name: i for i, name in enumerate(names)}
         if len(index) != len(names):
             raise ValueError(f"duplicate letter names in {names!r}")
-        self._init(names)
-        Alphabet._index.__set__(self, index)
-        Alphabet._one_char.__set__(self, all(len(n) == 1 for n in names))
+        self._init(names, index, all(len(n) == 1 for n in names))
 
     @classmethod
     def from_letters(cls, letters: str) -> "Alphabet":

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import islice, product
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,25 @@ def test_cover_oracle_bound_note(tmp_path, capsys):
     )
     assert run(["cover", net, "--oracle-bound", "(3)"]) == 0
     assert "inconclusive" in capsys.readouterr().out
+
+
+def test_a_closed_stdout_ends_the_process_as_sigpipe_does(tmp_path):
+    # 20,000 nine-letter words print about 240 KB, more than a pipe holds,
+    # so the process is still writing when the reader stops after a line
+    words = ("".join(t) for t in islice(product("abcd", repeat=9), 20_000))
+    up = write(tmp_path, "words9.up", "upset {\n" + "".join(f"  {w}\n" for w in words) + "}\n")
+    src = str(Path(wqokit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "wqokit.cli", "upset", "normalize", up]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"upset {\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    # 128 + SIGPIPE, what a shell reports for `cat` in the same place
+    assert (proc.returncode, err) == (141, b"")
+    # a reader that takes the whole answer gets all of it
+    done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout.count(b"\n"), done.stderr) == (0, 20_002, b"")
 
 
 def test_cover_builds_only_its_own_parser(tmp_path, capsys):

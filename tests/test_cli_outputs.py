@@ -492,11 +492,12 @@ def test_embed_check_prints_a_counterexample(capsys, monkeypatch):
 
 
 def test_cover_reports_an_oracle_disagreement(capsys, files, monkeypatch):
-    # the net cannot leave (0); an oracle claiming otherwise is reported
+    # the net cannot leave (0); an oracle claiming otherwise fails the call
+    # as any error does: exit 2, empty stdout, one line on stderr
     monkeypatch.setattr(coverability, "forward_cover_oracle", lambda query, bound: True)
     assert call(capsys, files, ["cover", "{net}", "--oracle-bound", "(3)"]) == (
         2,
-        "coverable: false\niterations: 0\nupset basis {\n  (1)\n}\noracle: true\n",
+        "",
         "error: forward oracle covers the target but the backward analysis "
         "says unreachable\n",
     )

@@ -2,8 +2,7 @@
 
 Each example runs in a directory that holds every file the README shows
 with `$ cat`, and its stdout and stderr together must be the lines shown
-under it. An example that cannot run as written is listed in SKIPPED,
-with the reason, and reported as skipped under its own name.
+under it.
 """
 
 import shlex
@@ -14,13 +13,6 @@ import pytest
 from wqokit.cli import run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-
-# the example as written -> why it cannot run as written
-SKIPPED = {
-    "wqokit cover net.txt    # with the target line deleted":
-        "it runs on an edited net.txt that the README does not show",
-}
-
 
 def _examples() -> tuple[dict, list]:
     """The files the README cats, and each (command, shown lines) it runs."""
@@ -45,13 +37,10 @@ FILES, RUNS = _examples()
 
 def test_the_readme_has_examples():
     assert len(RUNS) >= 10 and {"F.up", "W.up", "net.txt"} <= set(FILES)
-    assert set(SKIPPED) <= {command for command, _ in RUNS}
 
 
 @pytest.mark.parametrize("command,shown", [
-    pytest.param(command, shown, id=command,
-                 marks=[pytest.mark.skip(reason=SKIPPED[command])] if command in SKIPPED else [])
-    for command, shown in RUNS
+    pytest.param(command, shown, id=command) for command, shown in RUNS
 ])
 def test_readme_example(command, shown, tmp_path, monkeypatch, capsys):
     for name, lines in FILES.items():
