@@ -9,19 +9,22 @@ canonical, so piping a printed block back in reproduces the value.
 A `_cmd_*` handler returns (exit code, stdout text) and writes nothing to
 stdout; run() prints the text after the handler returns. So a verb prints
 its whole answer or nothing, and an input error exits 2 with empty stdout.
-A stdout closed before the answer is written, as by `| head`, is no input
-error: main() ends the process silently with status 141, as SIGPIPE ends
-`cat`.
+A stdout closed before the answer is written, as by `| head` or `>&-`, is
+no input error: main() ends the process silently with status 141, as
+SIGPIPE ends `cat`. A stdout that refuses the answer otherwise, as
+/dev/full does, fails the call with status 2. A stderr that is closed or
+full loses the error report but leaves the status as it is, and help
+that /dev/full refuses is lost with status 0, as argparse loses it.
 
-run() parses argv with a parser built for the one verb that its leading
-words name (`cover`, `upset member`, ...), from that verb's _COMMANDS
-row, and the full parser reports what that parser leaves over, as its
-own parse_args would. So the namespace, exit code and messages are the
-full parser's, and a call that names a verb builds no other verb's
-parser. The full parser, with every verb's subparser, is built only for
-argv that names no verb (none, `-h`, `upset -h`, an unknown verb, a
-leading `--`) and for the "unrecognized arguments" error, which prints
-its usage: only it can answer those.
+run() reads plain argv itself, from the _COMMANDS row of the verb that
+its leading words name (`cover`, `upset member`, ...): the verb's
+positionals in order and its long options spelled out, as `--name value`
+or `--name=value`, each converted by the row's type and checked against
+its choices. That gives the namespace the full argparse parser would
+give. Any other argv (`-h`, an abbreviated option, `--`, a token or a
+separate option value starting with "-", a failed type or choice, too
+few or too many positionals, no verb) goes whole to the full parser,
+built on first use, which alone prints help and usage errors.
 
 _read gives an input file's text as open(path).read() does, the locale's
 encoding and universal newlines, in one unbuffered read and one decode:
@@ -39,6 +42,7 @@ import locale
 import os
 import sys
 from collections.abc import Callable
+from contextlib import suppress
 from functools import cache, partial
 from itertools import count, product
 
@@ -383,38 +387,64 @@ _COMMANDS = [
 ]
 
 
-# (handler, arguments) of each verb in _COMMANDS, by command path
-_VERBS = {tuple(c.split()): (h, args) for c, _, h, args in _COMMANDS if h}
-
-
-def _add_arguments(p: argparse.ArgumentParser, handler, arguments) -> None:
-    """Give p a verb's arguments and handler, as its _COMMANDS row lists them."""
+def _table(command, handler, arguments):
+    """The command path of a verb and what _plain needs of it: its positionals
+    in order and its options by name, each as (dest, type, choices), and the
+    namespace of a call that gives none of its options."""
+    path, positionals, options = tuple(command.split()), [], {}
+    defaults = {"handler": handler, **dict(zip(("verb", "op"), path))}
     for arg in arguments:
-        name, options = (arg, {}) if isinstance(arg, str) else arg
-        p.add_argument(name, **options)
-    p.set_defaults(handler=handler)
+        name, o = (arg, {}) if isinstance(arg, str) else arg
+        spec = (name.lstrip("-").replace("-", "_"), o.get("type", str), o.get("choices"))
+        if name.startswith("-"):
+            options[name], defaults[spec[0]] = spec, o.get("default")
+        else:
+            positionals.append(spec)
+    return path, (positionals, options, defaults)
 
 
-@cache
-def _verb_parser(path: tuple[str, ...]) -> argparse.ArgumentParser:
-    """The parser of the verb at path (("cover",), ("upset", "member"), ...).
+# the table of each verb in _COMMANDS, by command path
+_TABLES = dict(_table(c, h, args) for c, _, h, args in _COMMANDS if h)
 
-    It is built as the full parser builds that verb's subparser, with
-    the same prog, so it prints the same usage, help and errors.
+
+def _plain(positionals, options, defaults, args):
+    """The namespace the full parser gives for a verb's args, or None.
+
+    Only plain args are read here: the verb's positionals in order and its
+    long options spelled out, as --name value or --name=value, the last of
+    a repeated option winning. Anything else (-h, an abbreviation, --, a
+    token or a separate option value starting with "-", a failed type or
+    choices, too few or too many positionals) gives None.
     """
-    p = argparse.ArgumentParser(prog="wqokit " + " ".join(path))
-    _add_arguments(p, *_VERBS[path])
-    return p
+    values, words, given = dict(defaults), [], []
+    tokens = iter(args)
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        # a missing separate value reads as "-", so it too gives None
+        value = value if eq else next(tokens, "-")
+        if name not in options or not eq and value.startswith("-"):
+            return None
+        given.append((options[name], value))
+    try:
+        # strict: a count of words other than the verb's positionals fails
+        for (dest, convert, choices), value in [*given, *zip(positionals, words, strict=True)]:
+            values[dest] = convert(value)
+            if choices is not None and values[dest] not in choices:
+                return None
+    except (TypeError, ValueError):
+        return None
+    return argparse.Namespace(**values)
 
 
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The full parser: the top-level parser and every verb's subparser.
 
-    run() needs it only for argv that names no verb, to print the
-    top-level and group help and to refuse an unknown verb, and for the
-    "unrecognized arguments" error, which prints the top-level usage.
-    parse_args keeps no state between calls.
+    run() needs it only for argv that _plain does not read: it alone prints
+    help and usage errors. parse_args keeps no state between calls.
     """
     parser = argparse.ArgumentParser(
         prog="wqokit",
@@ -426,26 +456,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p = groups[group].add_parser(verb, help=help_text)
         if handler is None:
             groups[verb] = p.add_subparsers(dest="op", required=True)
-        else:
-            _add_arguments(p, handler, arguments)
+            continue
+        for arg in arguments:
+            name, options = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(name, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The namespace, exit and messages of the full parser's parse_args(argv).
 
-    A verb parser keeps what it does not know, and the full parser reports
-    it, as parse_args does after the verb parser has run; the namespace
-    gets the verb and op words that the full parser's subparsers set.
+    Plain args after the words of a verb are read from that verb's table;
+    the full parser answers any other argv.
     """
-    for path in (tuple(argv[:2]), tuple(argv[:1])):
-        if path in _VERBS:
-            ns, extra = _verb_parser(path).parse_known_args(argv[len(path):])
-            if extra:
-                _build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
-            vars(ns).update(zip(("verb", "op"), path))
-            return ns
-    return _build_parser().parse_args(argv)
+    n = 2 if tuple(argv[:2]) in _TABLES else 1
+    table = _TABLES.get(tuple(argv[:n]))
+    return table and _plain(*table, argv[n:]) or _build_parser().parse_args(argv)
 
 
 def run(argv=None) -> int:
@@ -458,13 +485,17 @@ def run(argv=None) -> int:
         if getattr(ns, "alphabet", None) is not None:
             ns.alphabet = Alphabet.from_letters(ns.alphabet)
         code, out = ns.handler(ns)
-        print(out)
+        # flushed here, so a stdout that cannot take it fails in this try
+        # whether or not the stream is buffered
+        print(out, flush=True)
         return code
     except BrokenPipeError:
         # stdout was closed, not an input: main() ends the process
         raise
     except (CliError, ValueError, OSError, coverability.SaturationLimit) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a stderr that is closed (None) or fails loses the report, not the status
+        with suppress(AttributeError, OSError):
+            sys.stderr.write(f"error: {exc}\n")
         return 2
 
 
@@ -475,12 +506,18 @@ _SIGPIPE_STATUS = 141
 def main() -> None:
     try:
         code = run(sys.argv[1:])
-        sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed stdout early: end as SIGPIPE would, saying
-        # nothing, with fd 1 on devnull so that exit's own flush is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader closed stdout early: end as SIGPIPE would, saying nothing
         code = _SIGPIPE_STATUS
+    # fd 1 closed before the start loses an answer as a closed pipe does
+    code = _SIGPIPE_STATUS if sys.stdout is None and code != 2 else code
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError:
+            # what the stream holds cannot be written (help, a lost answer or
+            # report): fd on devnull, so that exit's own flush is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(code)
 
 

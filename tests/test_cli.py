@@ -236,10 +236,67 @@ def test_a_closed_stdout_ends_the_process_as_sigpipe_does(tmp_path):
     assert (done.returncode, done.stdout.count(b"\n"), done.stderr) == (0, 20_002, b"")
 
 
+# a coverable net, one whose target is out of reach, and one without a target
+# line, with the status and stderr of each call when stdout takes the answer
+ANSWERS = {
+    "true": (NET, 0, b""),
+    "false": (NET.replace("target (0,2)", "target (0,3)"), 1, b""),
+    "input error": (NET.replace("target (0,2)\n", ""), 2, b"error: missing target line\n"),
+}
+ENOSPC = b"error: [Errno 28] No space left on device\n"
+
+
+def _shell_call(tmp_path, argv, redirects, unbuffered):
+    """(status, stderr) of `python -m wqokit.cli argv` under the sh redirects,
+    in which "$0" names a file that takes stderr."""
+    src = str(Path(wqokit.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    err = tmp_path / "err"
+    done = subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirects}', str(err), sys.executable, "-m", "wqokit.cli", *argv],
+        env=env, timeout=60,
+    )
+    return done.returncode, err.read_bytes() if err.exists() else b""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stderr", ["open", "closed", "full"])
+@pytest.mark.parametrize("stdout", ["closed", "full"])
+@pytest.mark.parametrize("answer", list(ANSWERS))
+def test_exit_status_when_stdout_or_stderr_cannot_be_written(
+    tmp_path, answer, stdout, stderr, unbuffered
+):
+    # a closed stdout loses the answer as a closed pipe does (141); a full one
+    # fails the call (2). An input error stays 2, and a stderr that cannot
+    # take the report changes no status. The stream's buffering changes nothing.
+    text, code, report = ANSWERS[answer]
+    net = write(tmp_path, "q.net", text)
+    redirects = {"closed": ">&-", "full": ">/dev/full"}[stdout] + " " + {
+        "open": '2>"$0"', "closed": "2>&-", "full": "2>/dev/full"}[stderr]
+    got = _shell_call(tmp_path, ["cover", net], redirects, unbuffered)
+    if code == 2:
+        expected = (2, report)
+    else:
+        expected = (141, b"") if stdout == "closed" else (2, ENOSPC)
+    if stderr != "open":
+        expected = (expected[0], b"")
+    assert got == expected
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_help_into_a_full_stdout_is_lost(tmp_path, unbuffered):
+    assert _shell_call(tmp_path, ["--help"], '>/dev/full 2>"$0"', unbuffered) == (0, b"")
+
+
 def test_cover_builds_only_its_own_parser(tmp_path, capsys):
     net = write(tmp_path, "demo.net", NET)
     cli._build_parser.cache_clear()
     assert run(["cover", net]) == 0
+    assert run(["cover", net, "--max-iterations=4"]) == 0
+    up = write(tmp_path, "x.up", "upset { ab }\n")
+    assert run(["upset", "member", "aab", up]) == 0
+    assert run(["order", "dickson", "(1,2)", "(2,2)"]) == 0
     assert cli._build_parser.cache_info().currsize == 0
     assert run(["cover", net, "--bogus"]) == 2
     assert cli._build_parser.cache_info().currsize == 1
