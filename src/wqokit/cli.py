@@ -10,11 +10,13 @@ A `_cmd_*` handler returns (exit code, stdout text) and writes nothing to
 stdout; run() prints the text after the handler returns. So a verb prints
 its whole answer or nothing, and an input error exits 2 with empty stdout.
 A stdout closed before the answer is written, as by `| head` or `>&-`, is
-no input error: main() ends the process silently with status 141, as
-SIGPIPE ends `cat`. A stdout that refuses the answer otherwise, as
-/dev/full does, fails the call with status 2. A stderr that is closed or
-full loses the error report but leaves the status as it is, and help
-that /dev/full refuses is lost with status 0, as argparse loses it.
+no input error: run() returns 141 and main() ends the process with it,
+silently, as SIGPIPE ends `cat`. A stdout that refuses the answer
+otherwise, as /dev/full does, fails the call with status 2. A stderr that
+is closed or full loses the error report but leaves the status as it is.
+Help that a closed or full stdout cannot take is lost, with status 0, and
+a usage error writes only to stderr; the full parser is a _Parser, so this
+holds on every Python version, whatever its argparse does.
 
 run() reads plain argv itself, from the _COMMANDS row of the verb that
 its leading words name (`cover`, `upset member`, ...): the verb's
@@ -387,16 +389,22 @@ _COMMANDS = [
 ]
 
 
+def _arguments(arguments):
+    """(name, add_argument options) of each argument of a _COMMANDS row."""
+    return [(arg, {}) if isinstance(arg, str) else arg for arg in arguments]
+
+
 def _table(command, handler, arguments):
     """The command path of a verb and what _plain needs of it: its positionals
     in order and its options by name, each as (dest, type, choices), and the
     namespace of a call that gives none of its options."""
     path, positionals, options = tuple(command.split()), [], {}
     defaults = {"handler": handler, **dict(zip(("verb", "op"), path))}
-    for arg in arguments:
-        name, o = (arg, {}) if isinstance(arg, str) else arg
-        spec = (name.lstrip("-").replace("-", "_"), o.get("type", str), o.get("choices"))
-        if name.startswith("-"):
+    for name, o in _arguments(arguments):
+        # argparse's dest: an option's name without "--", "-" read as "_"
+        dest = name[2:].replace("-", "_") if name.startswith("--") else name
+        spec = (dest, o.get("type", str), o.get("choices"))
+        if name.startswith("--"):
             options[name], defaults[spec[0]] = spec, o.get("default")
         else:
             positionals.append(spec)
@@ -439,6 +447,21 @@ def _plain(positionals, options, defaults, args):
     return argparse.Namespace(**values)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser under run()'s rule for stdio, on every Python: text
+    that a closed or full stream cannot take is lost, with no traceback and
+    no other status, and a usage error writes only to stderr."""
+
+    def _print_message(self, message, file=None):
+        # file is None only when its std stream is closed
+        with suppress(AttributeError, OSError):
+            file.write(message)
+
+    def error(self, message):
+        # argparse's own error() prints the usage on stdout when stderr is closed
+        self.exit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The full parser: the top-level parser and every verb's subparser.
@@ -446,7 +469,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run() needs it only for argv that _plain does not read: it alone prints
     help and usage errors. parse_args keeps no state between calls.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wqokit",
         description="Embedding orders, upward closed sets, and coverability.",
     )
@@ -457,8 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if handler is None:
             groups[verb] = p.add_subparsers(dest="op", required=True)
             continue
-        for arg in arguments:
-            name, options = (arg, {}) if isinstance(arg, str) else arg
+        for name, options in _arguments(arguments):
             p.add_argument(name, **options)
         p.set_defaults(handler=handler)
     return parser
@@ -470,9 +492,14 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     Plain args after the words of a verb are read from that verb's table;
     the full parser answers any other argv.
     """
-    n = 2 if tuple(argv[:2]) in _TABLES else 1
-    table = _TABLES.get(tuple(argv[:n]))
-    return table and _plain(*table, argv[n:]) or _build_parser().parse_args(argv)
+    for path in (tuple(argv[:2]), tuple(argv[:1])):
+        if path in _TABLES and (ns := _plain(*_TABLES[path], argv[len(path):])) is not None:
+            return ns
+    return _build_parser().parse_args(argv)
+
+
+# the status a shell reports for a process killed by SIGPIPE (13): 128 + 13
+_SIGPIPE_STATUS = 141
 
 
 def run(argv=None) -> int:
@@ -485,13 +512,17 @@ def run(argv=None) -> int:
         if getattr(ns, "alphabet", None) is not None:
             ns.alphabet = Alphabet.from_letters(ns.alphabet)
         code, out = ns.handler(ns)
+        if sys.stdout is None:
+            # fd 1 closed before the start loses the answer as a closed pipe does
+            return _SIGPIPE_STATUS
         # flushed here, so a stdout that cannot take it fails in this try
         # whether or not the stream is buffered
         print(out, flush=True)
         return code
     except BrokenPipeError:
-        # stdout was closed, not an input: main() ends the process
-        raise
+        # the reader closed stdout early, which is no input error: end as
+        # SIGPIPE would, saying nothing
+        return _SIGPIPE_STATUS
     except (CliError, ValueError, OSError, coverability.SaturationLimit) as exc:
         # a stderr that is closed (None) or fails loses the report, not the status
         with suppress(AttributeError, OSError):
@@ -499,18 +530,8 @@ def run(argv=None) -> int:
         return 2
 
 
-# the status a shell reports for a process killed by SIGPIPE (13): 128 + 13
-_SIGPIPE_STATUS = 141
-
-
 def main() -> None:
-    try:
-        code = run(sys.argv[1:])
-    except BrokenPipeError:
-        # the reader closed stdout early: end as SIGPIPE would, saying nothing
-        code = _SIGPIPE_STATUS
-    # fd 1 closed before the start loses an answer as a closed pipe does
-    code = _SIGPIPE_STATUS if sys.stdout is None and code != 2 else code
+    code = run()
     for stream in filter(None, (sys.stdout, sys.stderr)):
         try:
             stream.flush()

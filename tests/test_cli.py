@@ -236,28 +236,38 @@ def test_a_closed_stdout_ends_the_process_as_sigpipe_does(tmp_path):
     assert (done.returncode, done.stdout.count(b"\n"), done.stderr) == (0, 20_002, b"")
 
 
-# a coverable net, one whose target is out of reach, and one without a target
-# line, with the status and stderr of each call when stdout takes the answer
+# a coverable net, one whose target is out of reach, one without a target
+# line, and no net at all, with the status and stderr of each call when
+# stdout takes the answer
 ANSWERS = {
     "true": (NET, 0, b""),
     "false": (NET.replace("target (0,2)", "target (0,3)"), 1, b""),
     "input error": (NET.replace("target (0,2)\n", ""), 2, b"error: missing target line\n"),
+    "usage error": (None, 2, b"usage: wqokit cover [-h] [--max-iterations MAX_ITERATIONS]\n"
+                    b"                    [--oracle-bound ORACLE_BOUND]\n"
+                    b"                    netfile\n"
+                    b"wqokit cover: error: the following arguments are required: netfile\n"),
 }
 ENOSPC = b"error: [Errno 28] No space left on device\n"
 
 
 def _shell_call(tmp_path, argv, redirects, unbuffered):
-    """(status, stderr) of `python -m wqokit.cli argv` under the sh redirects,
-    in which "$0" names a file that takes stderr."""
+    """(status, bytes written to "$0") of `python -m wqokit.cli argv` under
+    the sh redirects, in which "$0" names a file."""
     src = str(Path(wqokit.__file__).parents[1])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
-    err = tmp_path / "err"
+    env.update(PYTHONPATH=src, COLUMNS="80", **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    out = tmp_path / "out"
     done = subprocess.run(
-        ["sh", "-c", f'exec "$@" {redirects}', str(err), sys.executable, "-m", "wqokit.cli", *argv],
+        ["sh", "-c", f'exec "$@" {redirects}', str(out), sys.executable, "-m", "wqokit.cli", *argv],
         env=env, timeout=60,
     )
-    return done.returncode, err.read_bytes() if err.exists() else b""
+    return done.returncode, out.read_bytes() if out.exists() else b""
+
+
+def _cover_argv(tmp_path, answer):
+    text = ANSWERS[answer][0]
+    return ["cover"] if text is None else ["cover", write(tmp_path, "q.net", text)]
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -268,13 +278,13 @@ def test_exit_status_when_stdout_or_stderr_cannot_be_written(
     tmp_path, answer, stdout, stderr, unbuffered
 ):
     # a closed stdout loses the answer as a closed pipe does (141); a full one
-    # fails the call (2). An input error stays 2, and a stderr that cannot
-    # take the report changes no status. The stream's buffering changes nothing.
-    text, code, report = ANSWERS[answer]
-    net = write(tmp_path, "q.net", text)
+    # fails the call (2). An input or usage error stays 2, and a stderr that
+    # cannot take the report changes no status. The stream's buffering
+    # changes nothing.
+    _, code, report = ANSWERS[answer]
     redirects = {"closed": ">&-", "full": ">/dev/full"}[stdout] + " " + {
         "open": '2>"$0"', "closed": "2>&-", "full": "2>/dev/full"}[stderr]
-    got = _shell_call(tmp_path, ["cover", net], redirects, unbuffered)
+    got = _shell_call(tmp_path, _cover_argv(tmp_path, answer), redirects, unbuffered)
     if code == 2:
         expected = (2, report)
     else:
@@ -285,8 +295,21 @@ def test_exit_status_when_stdout_or_stderr_cannot_be_written(
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_help_into_a_full_stdout_is_lost(tmp_path, unbuffered):
-    assert _shell_call(tmp_path, ["--help"], '>/dev/full 2>"$0"', unbuffered) == (0, b"")
+@pytest.mark.parametrize("stderr", ["closed", "full"])
+@pytest.mark.parametrize("answer", ["input error", "usage error"])
+def test_an_error_writes_no_stdout_when_stderr_cannot_be_written(
+    tmp_path, answer, stderr, unbuffered
+):
+    # argparse prints a usage error's usage line on stdout when stderr is closed
+    redirects = '>"$0" ' + {"closed": "2>&-", "full": "2>/dev/full"}[stderr]
+    assert _shell_call(tmp_path, _cover_argv(tmp_path, answer), redirects, unbuffered) == (2, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("stdout", [">&-", ">/dev/full"])
+def test_help_into_a_full_stdout_is_lost(tmp_path, stdout, unbuffered):
+    # argparse writes the help to stderr when stdout is closed
+    assert _shell_call(tmp_path, ["--help"], stdout + ' 2>"$0"', unbuffered) == (0, b"")
 
 
 def test_cover_builds_only_its_own_parser(tmp_path, capsys):
